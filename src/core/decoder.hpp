@@ -21,6 +21,13 @@
 //
 // Only certified edges enter H, so every reported distance is realizable in
 // G \ F regardless of parameters (Lemma 2.3 soundness, rechecked in tests).
+//
+// Both certificates are evaluated into bitmasks rather than per edge: for a
+// label level, each slot gets a mask with bit k set iff the slot is *not*
+// certified outside PB_i(center k), and an edge survives iff the masks of
+// its two endpoints share no bit — exactly ∀k (out_k(a) ∨ out_k(b)). This
+// is the "perfect hashing" step of Lemma 2.6 made concrete: one AND over
+// ⌈|C|/64⌉ words per edge, for any number |C| of fault centers.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +54,10 @@ struct QueryStats {
   std::size_t sketch_vertices = 0;
   std::size_t sketch_edges = 0;
   std::size_t edges_considered = 0;
+  /// Protected-ball lookups: one mask lookup per label slot in N_{i-c-1}
+  /// per level, plus |C| center-list probes per owner triangulation (an
+  /// owner below its net level). Edge certification itself is a mask AND
+  /// and is not counted here (see edges_considered).
   std::size_t pb_checks = 0;
   std::size_t dijkstra_relaxations = 0;
   /// Sketch assembly: endpoint-label filtering + building H.
@@ -86,19 +97,20 @@ QueryResult decode_query(const SchemeParams& params, const QueryInput& in);
 
 /// Two-phase decoding for the paper's router scenario: a router holds one
 /// fault set F and answers many (s, t) queries against it. Construction
-/// performs all the |F|-dependent work once — protected-ball tables per
-/// level per fault center, plus the filtering of every fault label's edges
-/// (the O(label·|F|²) part of Lemma 2.6); each query then only filters the
+/// performs all the |F|-dependent work once — per level, a vertex → mask
+/// map of the protected balls that certifiably contain each vertex, plus
+/// the filtering of every fault label's edges (the O(label·|F|²) part of
+/// Lemma 2.6, at one mask AND per edge); each query then only filters the
 /// two endpoint labels and runs Dijkstra.
 ///
 /// The referenced fault labels must outlive the PreparedFaults object.
 ///
 /// Thread safety: construction does all the mutation; query() is const,
-/// touches only immutable tables plus per-thread scratch (a thread_local
-/// edge accumulator and sketch graph that keep their capacity across calls,
-/// making the steady-state hot path allocation-free), and is safe from any
-/// number of concurrent threads (the server's fault-set cache shares one
-/// instance across its whole worker pool).
+/// touches only immutable tables plus per-thread scratch (thread_local
+/// slot masks, edge accumulator and sketch graph that keep their capacity
+/// across calls, making the steady-state hot path allocation-free), and is
+/// safe from any number of concurrent threads (the server's fault-set cache
+/// shares one instance across its whole worker pool).
 class PreparedFaults {
  public:
   PreparedFaults(
@@ -112,8 +124,9 @@ class PreparedFaults {
 
   std::size_t num_centers() const noexcept { return centers_.size(); }
 
-  /// Wall time of the constructor — the once-per-fault-set O(label·|F|²)
-  /// certification cost (Lemma 2.6's quadratic term).
+  /// Wall time of the constructor — the once-per-fault-set certification
+  /// cost (Lemma 2.6's quadratic term: |C| labels, one ⌈|C|/64⌉-word AND
+  /// per label edge).
   double prepare_us() const noexcept { return prepare_us_; }
   /// Counters accumulated during construction (also folded into every
   /// query's stats).
@@ -121,13 +134,19 @@ class PreparedFaults {
 
  private:
   struct LevelTables {
-    /// pb[k]: open-addressed (vertex, distance) view of center k's level
-    /// list, probed on every certification check — the decoder's hottest
-    /// lookup.
+    /// Vertex u -> words_-word mask with bit k set iff center k's level
+    /// list holds u at distance <= λ_i (u ∈ PB_i(center k)). Absent
+    /// vertices lie in no ball (distance > r_i > λ_i from every center).
+    FlatMaskMap in_ball;
+    /// pb[k]: center k's level list as (vertex, distance), probed only to
+    /// triangulate an owner below its net level.
     std::vector<FlatDistMap> pb;
   };
 
   bool vertex_faulty(Vertex v) const { return faulty_vertices_.contains(v); }
+
+  /// Level-i tables; all-empty when there are no centers.
+  const LevelTables& level_tables(unsigned i) const;
 
   /// Filter one label's level-i edges against the protected balls, merging
   /// survivors into `edges` (keyed on endpoint pair, min weight).
@@ -139,6 +158,8 @@ class PreparedFaults {
   SortedSet<Vertex> center_owners_;
   SortedSet<Vertex> faulty_vertices_;
   SortedSet<std::uint64_t> faulty_edges_;
+  /// Mask width W = ⌈|C|/64⌉ in 64-bit words (0 without centers).
+  std::size_t words_ = 0;
   unsigned min_level_ = 0;
   unsigned top_level_ = 0;
   /// Indexed by level - min_level_.

@@ -41,7 +41,7 @@ enum class Counter : unsigned {
   kSketchVertices = 0,    // |V(H)| summed over queries (Lemma 2.4)
   kSketchEdges,           // |E(H)| summed over queries
   kEdgesConsidered,       // virtual edges tested for certification
-  kSafeEdgeChecks,        // protected-ball membership probes (Lemma 2.3)
+  kSafeEdgeChecks,        // protected-ball lookups (Lemma 2.3)
   kDijkstraRelaxations,   // arc scans in the sketch Dijkstra (Lemma 2.6)
   kLabelCacheHit,         // oracle label table: decoded label reused
   kLabelCacheMiss,        // oracle label table: decode performed

@@ -5,10 +5,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <utility>
 
 #include "server/fleet.hpp"
+#include "util/failpoint.hpp"
 #include "util/timer.hpp"
 
 namespace fsdl::shard {
@@ -431,17 +433,31 @@ bool Router::gather_labels(
               group_timer.elapsed_us(), static_cast<int>(shard));
     }
   };
-  if (miss_shards == 1) {
-    for (std::size_t s = 0; s < missing.size(); ++s) {
-      if (!missing[s].empty()) fetch_group(s);
-    }
-  } else {
+  // Groups from `inline_from` on run on this thread: all of them for a
+  // single-shard miss, and the rest of them when a thread cannot be
+  // started (std::system_error, e.g. EAGAIN at a thread limit). The
+  // threads already started are joined first, so no joinable std::thread
+  // is ever destroyed.
+  std::size_t inline_from = 0;
+  if (miss_shards > 1) {
     std::vector<std::thread> threads;
     threads.reserve(miss_shards);
-    for (std::size_t s = 0; s < missing.size(); ++s) {
-      if (!missing[s].empty()) threads.emplace_back(fetch_group, s);
+    try {
+      for (; inline_from < missing.size(); ++inline_from) {
+        if (missing[inline_from].empty()) continue;
+        if (const auto hit = FSDL_FAILPOINT("router.fanout.spawn")) {
+          throw std::system_error(hit.err, std::generic_category(),
+                                  "router fan-out thread");
+        }
+        threads.emplace_back(fetch_group, inline_from);
+      }
+    } catch (const std::system_error&) {
+      // Not a request failure: group `inline_from` and the rest run below.
     }
     for (auto& t : threads) t.join();
+  }
+  for (std::size_t s = inline_from; s < missing.size(); ++s) {
+    if (!missing[s].empty()) fetch_group(s);
   }
 
   // Gather: merge the per-shard results. A failed group whose failure was

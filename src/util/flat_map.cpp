@@ -1,5 +1,7 @@
 #include "util/flat_map.hpp"
 
+#include <algorithm>
+
 namespace fsdl {
 namespace {
 
@@ -38,6 +40,53 @@ const Dist* FlatDistMap::find(Vertex key) const noexcept {
   std::size_t slot = hash_key(key) & mask_;
   while (keys_[slot] != kNoVertex) {
     if (keys_[slot] == key) return &vals_[slot];
+    slot = (slot + 1) & mask_;
+  }
+  return nullptr;
+}
+
+FlatMaskMap::FlatMaskMap(
+    std::size_t words,
+    const std::vector<std::pair<Vertex, std::uint32_t>>& bits)
+    : words_(words) {
+  // Sized by distinct keys, not by pairs: the pairs of one vertex (one per
+  // ball holding it) share a slot, so the table grows as keys arrive.
+  for (const auto& [k, bit] : bits) {
+    if ((size_ + 1) * 2 > keys_.size()) grow();
+    std::size_t slot = hash_key(k) & mask_;
+    while (keys_[slot] != kNoVertex && keys_[slot] != k) {
+      slot = (slot + 1) & mask_;
+    }
+    if (keys_[slot] == kNoVertex) {
+      keys_[slot] = k;
+      ++size_;
+    }
+    masks_[slot * words_ + bit / 64] |= std::uint64_t{1} << (bit % 64);
+  }
+}
+
+void FlatMaskMap::grow() {
+  const std::size_t cap = keys_.empty() ? 16 : keys_.size() * 2;
+  std::vector<Vertex> old_keys(cap, kNoVertex);
+  std::vector<std::uint64_t> old_masks(cap * words_, 0);
+  old_keys.swap(keys_);
+  old_masks.swap(masks_);
+  mask_ = cap - 1;
+  for (std::size_t s = 0; s < old_keys.size(); ++s) {
+    if (old_keys[s] == kNoVertex) continue;
+    std::size_t slot = hash_key(old_keys[s]) & mask_;
+    while (keys_[slot] != kNoVertex) slot = (slot + 1) & mask_;
+    keys_[slot] = old_keys[s];
+    std::copy_n(old_masks.data() + s * words_, words_,
+                masks_.data() + slot * words_);
+  }
+}
+
+const std::uint64_t* FlatMaskMap::find(Vertex key) const noexcept {
+  if (size_ == 0) return nullptr;
+  std::size_t slot = hash_key(key) & mask_;
+  while (keys_[slot] != kNoVertex) {
+    if (keys_[slot] == key) return &masks_[slot * words_];
     slot = (slot + 1) & mask_;
   }
   return nullptr;

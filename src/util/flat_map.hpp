@@ -4,20 +4,23 @@
 // Dijkstra work; the node-based std::unordered_{map,set} the decoder first
 // shipped with spent comparable time in the allocator. These replacements
 // keep the same contracts with contiguous storage:
-//   - FlatDistMap: protected-ball lookup tables, built once per
-//     PreparedFaults and then probed on every certification check — the
-//     single hottest lookup of the decoder. Open addressing keeps it at
-//     O(1) probes over two flat arrays (a binary search over a faithful
-//     ball of 10^5 points costs ~17 dependent cache misses per check and
-//     was measured 2-3x slower end to end).
+//   - FlatMaskMap: per-level protected-ball membership masks, built once
+//     per PreparedFaults. Each label slot takes its vertex's mask with one
+//     lookup, after which certifying an edge is an AND of two masks — so
+//     this map is probed once per slot, not once per edge and fault.
+//   - FlatDistMap: one fault center's (vertex, distance) list, probed only
+//     to triangulate an owner below its net level (a handful of lookups
+//     per label level). Open addressing keeps both maps at O(1) probes
+//     over flat arrays (a binary search over a faithful ball of 10^5
+//     points costs ~17 dependent cache misses per lookup).
 //   - SortedSet: small fault/owner membership sets, binary-searched.
-//   - EdgeAccumulator: the per-query min-merge of surviving sketch edges;
-//     open-addressing index over a dense entry vector, O(1) epoch-based
-//     clear, capacity retained across queries so a reused (thread_local)
-//     instance stops allocating in steady state. Iteration is in
-//     first-insertion order — deterministic given a deterministic insertion
-//     sequence, which keeps repeated queries bit-identical (unordered_map
-//     offered no such order).
+//   - EdgeAccumulator: the per-query min-merge of surviving sketch edges —
+//     now the decoder's hottest structure; open-addressing index over a
+//     dense entry vector, O(1) epoch-based clear, capacity retained across
+//     queries so a reused (thread_local) instance stops allocating in
+//     steady state. Iteration is in first-insertion order — deterministic
+//     given a deterministic insertion sequence, which keeps repeated
+//     queries bit-identical (unordered_map offered no such order).
 #pragma once
 
 #include <algorithm>
@@ -47,6 +50,33 @@ class FlatDistMap {
   // Parallel slot arrays; load factor <= 1/2, linear probing.
   std::vector<Vertex> keys_;
   std::vector<Dist> vals_;
+  std::size_t mask_ = 0;  // slot count - 1 when non-empty, else 0
+  std::size_t size_ = 0;
+};
+
+/// Immutable Vertex -> bitmask map (`words` 64-bit words per key) with an
+/// open-addressing probe table. Built from (key, bit) pairs; a key's mask
+/// is the OR of its bits. kNoVertex marks empty slots, so it is not a
+/// valid key.
+class FlatMaskMap {
+ public:
+  FlatMaskMap() = default;
+  FlatMaskMap(std::size_t words,
+              const std::vector<std::pair<Vertex, std::uint32_t>>& bits);
+
+  /// The key's `words` mask words, or nullptr when absent (all zero).
+  const std::uint64_t* find(Vertex key) const noexcept;
+
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  void grow();
+
+  // Slot s holds key keys_[s] and mask words masks_[s*words_, (s+1)*words_);
+  // load factor <= 1/2, linear probing.
+  std::vector<Vertex> keys_;
+  std::vector<std::uint64_t> masks_;
+  std::size_t words_ = 0;
   std::size_t mask_ = 0;  // slot count - 1 when non-empty, else 0
   std::size_t size_ = 0;
 };

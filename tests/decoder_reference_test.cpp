@@ -1,0 +1,301 @@
+// Differential test: the production decoder against the frozen reference
+// (tests/reference_decode.*). Both must return bit-identical distances and
+// waypoints, one-shot and prepared, and must build the same sketch (same
+// edges considered, same sketch size, same Dijkstra work). Only pb_checks
+// may differ: it counts lookups, whose unit the two decoders define
+// differently.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/decoder.hpp"
+#include "core/labeling.hpp"
+#include "core/oracle.hpp"
+#include "graph/components.hpp"
+#include "graph/fault_view.hpp"
+#include "graph/generators.hpp"
+#include "reference_decode.hpp"
+#include "util/rng.hpp"
+
+namespace fsdl {
+namespace {
+
+struct Scheme {
+  std::string name;
+  Graph graph;
+  std::unique_ptr<ForbiddenSetLabeling> labeling;
+  std::unique_ptr<ForbiddenSetOracle> oracle;
+};
+
+std::unique_ptr<Scheme> make_scheme(std::string name, Graph g,
+                                    const SchemeParams& params) {
+  auto s = std::make_unique<Scheme>();
+  s->name = std::move(name);
+  s->graph = std::move(g);
+  s->labeling = std::make_unique<ForbiddenSetLabeling>(
+      ForbiddenSetLabeling::build(s->graph, params));
+  s->oracle = std::make_unique<ForbiddenSetOracle>(*s->labeling);
+  return s;
+}
+
+/// `size` faults, each an edge with probability 0.4, else a vertex.
+FaultSet random_faults(const Graph& g, Rng& rng, unsigned size) {
+  FaultSet f;
+  const Vertex n = g.num_vertices();
+  while (f.size() < size) {
+    const Vertex a = rng.vertex(n);
+    if (rng.chance(0.4)) {
+      const auto nb = g.neighbors(a);
+      if (nb.empty()) continue;
+      const Vertex b = nb[rng.below(nb.size())];
+      if (!f.edge_faulty(a, b)) f.add_edge(a, b);
+    } else if (!f.vertex_faulty(a)) {
+      f.add_vertex(a);
+    }
+  }
+  return f;
+}
+
+QueryInput input_for(const ForbiddenSetOracle& o, Vertex s, Vertex t,
+                     const FaultSet& f) {
+  QueryInput in;
+  in.source = &o.label(s);
+  in.target = &o.label(t);
+  for (Vertex v : f.vertices()) in.fault_vertices.push_back(&o.label(v));
+  for (const auto& [a, b] : f.edges()) {
+    in.fault_edges.emplace_back(&o.label(a), &o.label(b));
+  }
+  return in;
+}
+
+reference::PreparedFaults reference_prepare(const ForbiddenSetOracle& o,
+                                            const FaultSet& f) {
+  const QueryInput in = input_for(o, 0, 0, f);
+  return reference::PreparedFaults(o.scheme().params(), in.fault_vertices,
+                                   in.fault_edges);
+}
+
+::testing::AssertionResult identical(const QueryResult& got,
+                                     const QueryResult& want) {
+  const auto fail = [&](const char* what) {
+    return ::testing::AssertionFailure()
+           << what << " differs: distance " << got.distance << " vs "
+           << want.distance << ", " << got.waypoints.size() << " vs "
+           << want.waypoints.size() << " waypoints";
+  };
+  if (got.distance != want.distance) return fail("distance");
+  if (got.waypoints != want.waypoints) return fail("waypoints");
+  if (got.stats.edges_considered != want.stats.edges_considered) {
+    return fail("edges_considered");
+  }
+  if (got.stats.sketch_vertices != want.stats.sketch_vertices) {
+    return fail("sketch_vertices");
+  }
+  if (got.stats.sketch_edges != want.stats.sketch_edges) {
+    return fail("sketch_edges");
+  }
+  if (got.stats.dijkstra_relaxations != want.stats.dijkstra_relaxations) {
+    return fail("dijkstra_relaxations");
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Query endpoints for one fault set: random pairs, plus pairs whose source
+/// or target is itself a fault (vertex fault or fault-edge endpoint).
+std::vector<std::pair<Vertex, Vertex>> endpoints(const Graph& g,
+                                                 const FaultSet& f, Rng& rng,
+                                                 unsigned random_pairs) {
+  const Vertex n = g.num_vertices();
+  std::vector<std::pair<Vertex, Vertex>> out;
+  for (unsigned q = 0; q < random_pairs; ++q) {
+    out.emplace_back(rng.vertex(n), rng.vertex(n));
+  }
+  if (!f.vertices().empty()) {
+    const Vertex v = f.vertices().front();
+    out.emplace_back(v, rng.vertex(n));
+    out.emplace_back(rng.vertex(n), v);
+  }
+  if (!f.edges().empty()) {
+    const auto [a, b] = f.edges().front();
+    out.emplace_back(a, rng.vertex(n));
+    out.emplace_back(rng.vertex(n), b);
+  }
+  return out;
+}
+
+/// Every (s, t) of `pairs` against F, through both one-shot decoders and
+/// both prepared decoders; returns how many pairs were reachable.
+std::size_t check_fault_set(
+    const Scheme& scheme, const FaultSet& f,
+    const std::vector<std::pair<Vertex, Vertex>>& pairs) {
+  const ForbiddenSetOracle& o = *scheme.oracle;
+  const SchemeParams& params = o.scheme().params();
+  const PreparedFaults prepared = o.prepare(f);
+  const reference::PreparedFaults want_prepared = reference_prepare(o, f);
+  EXPECT_EQ(prepared.num_centers(), want_prepared.num_centers());
+  std::size_t reachable = 0;
+  for (const auto& [s, t] : pairs) {
+    std::ostringstream ctx;
+    ctx << scheme.name << " |F|=" << f.size() << " centers="
+        << prepared.num_centers() << " s=" << s << " t=" << t;
+    const QueryInput in = input_for(o, s, t, f);
+    EXPECT_TRUE(identical(decode_query(params, in),
+                          reference::decode_query(params, in)))
+        << "one-shot " << ctx.str();
+    const QueryResult got = prepared.query(o.label(s), o.label(t));
+    EXPECT_TRUE(identical(got, want_prepared.query(o.label(s), o.label(t))))
+        << "prepared " << ctx.str();
+    if (got.distance != kInfDist) ++reachable;
+  }
+  return reachable;
+}
+
+/// Random geometric graph on a 12×1 strip: n points, an edge between any
+/// two within Euclidean distance `radius`; the largest component is kept.
+/// The strip (not the unit square) gives it a hop diameter above λ.
+Graph make_strip_rgg(Vertex n, double radius, Rng& rng) {
+  std::vector<std::pair<double, double>> pts(n);
+  for (auto& [x, y] : pts) {
+    x = 12.0 * rng.uniform();
+    y = rng.uniform();
+  }
+  GraphBuilder b(n);
+  for (Vertex u = 0; u < n; ++u) {
+    for (Vertex v = u + 1; v < n; ++v) {
+      const double dx = pts[u].first - pts[v].first;
+      const double dy = pts[u].second - pts[v].second;
+      if (dx * dx + dy * dy <= radius * radius) b.add_edge(u, v);
+    }
+  }
+  return largest_component_subgraph(b.build());
+}
+
+// Every family is long and thin: its hop diameter (~40) exceeds λ at the
+// lowest certified level (16 compact, 32 faithful ε = 1), so protected
+// balls hold part of the graph, not all of it, and certification decides.
+std::vector<std::unique_ptr<Scheme>> scheme_matrix() {
+  std::vector<std::unique_ptr<Scheme>> out;
+  Rng rng(0xdec0de);
+  struct Family {
+    const char* name;
+    Graph graph;
+  };
+  const Family families[] = {
+      {"grid3x40", make_grid2d(3, 40)},
+      {"king3x40", make_king_grid(3, 40)},
+      {"strip-rgg", make_strip_rgg(150, 0.4, rng)},
+      {"caterpillar40x2", make_caterpillar(40, 2)},
+  };
+  for (const Family& fam : families) {
+    for (double eps : {0.5, 1.0}) {
+      for (bool faithful : {true, false}) {
+        std::ostringstream name;
+        name << fam.name << (faithful ? " faithful" : " compact")
+             << " eps=" << eps;
+        out.push_back(make_scheme(
+            name.str(), fam.graph,
+            faithful ? SchemeParams::faithful(eps)
+                     : SchemeParams::compact(eps)));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(DecoderReference, IdenticalAcrossFamiliesPresetsAndEps) {
+  Rng rng(20101);
+  std::size_t reachable = 0;
+  for (const auto& scheme : scheme_matrix()) {
+    SCOPED_TRACE(scheme->name);
+    for (unsigned size : {0u, 1u, 2u, 4u, 8u}) {
+      const FaultSet f = random_faults(scheme->graph, rng, size);
+      reachable += check_fault_set(*scheme, f,
+                                   endpoints(scheme->graph, f, rng, 10));
+    }
+  }
+  EXPECT_GT(reachable, 0u);
+}
+
+/// More than 64 fault centers on a 3×`cols` grid: 66 vertex faults fill
+/// its first 22 columns, then two vertex faults and one edge fault sit in
+/// the far columns. Those last centers have indices >= 64, so they live in
+/// the second mask word and are the only balls that reach the far end.
+FaultSet far_end_faults(Vertex cols) {
+  FaultSet f;
+  for (Vertex v = 0; v < 66; ++v) f.add_vertex((v % 3) * cols + v / 3);
+  f.add_vertex(cols - 6);
+  f.add_vertex(2 * cols - 12);
+  f.add_edge(3 * cols - 4, 3 * cols - 3);
+  return f;
+}
+
+TEST(DecoderReference, IdenticalBeyondSixtyFourCenters) {
+  Rng rng(20102);
+  const Vertex cols = 90;
+  const auto scheme = make_scheme("grid3x90 compact eps=1",
+                                  make_grid2d(3, cols),
+                                  SchemeParams::compact(1.0));
+  const FaultSet f = far_end_faults(cols);
+  ASSERT_GT(scheme->oracle->prepare(f).num_centers(), 64u);
+  // Endpoints right of the fault block, where the second word decides.
+  std::vector<std::pair<Vertex, Vertex>> pairs;
+  for (int q = 0; q < 8; ++q) {
+    const auto far = [&] {
+      return static_cast<Vertex>(rng.below(3) * cols + 22 +
+                                 rng.below(cols - 22));
+    };
+    pairs.emplace_back(far(), far());
+  }
+  EXPECT_GT(check_fault_set(*scheme, f, pairs), 0u);
+}
+
+// One PreparedFaults shared by eight threads (as in the server's prepared
+// cache): every concurrent answer matches the reference, so the per-thread
+// mask scratch never leaks between threads.
+TEST(DecoderReference, SharedPreparedFaultsAcrossEightThreads) {
+  const auto scheme = make_scheme("grid3x90 compact eps=1",
+                                  make_grid2d(3, 90),
+                                  SchemeParams::compact(1.0));
+  const ForbiddenSetOracle& o = *scheme->oracle;
+  Rng rng(20103);
+  const FaultSet f = far_end_faults(90);
+  const PreparedFaults prepared = o.prepare(f);
+  ASSERT_GT(prepared.num_centers(), 64u);
+  const reference::PreparedFaults want_prepared = reference_prepare(o, f);
+
+  constexpr unsigned kThreads = 8;
+  constexpr unsigned kPerThread = 12;
+  const Vertex n = scheme->graph.num_vertices();
+  std::vector<std::pair<Vertex, Vertex>> pairs;
+  std::vector<QueryResult> want;
+  for (unsigned q = 0; q < kThreads * kPerThread; ++q) {
+    pairs.emplace_back(rng.vertex(n), rng.vertex(n));
+    want.push_back(
+        want_prepared.query(o.label(pairs.back().first),
+                            o.label(pairs.back().second)));
+  }
+  std::atomic<unsigned> mismatches{0};
+  std::vector<std::thread> threads;
+  for (unsigned th = 0; th < kThreads; ++th) {
+    threads.emplace_back([&, th] {
+      // Each thread walks every pair, starting at its own offset, so the
+      // threads interleave different queries on the shared tables.
+      for (unsigned q = 0; q < pairs.size(); ++q) {
+        const unsigned k = (q + th * kPerThread) % pairs.size();
+        const QueryResult got =
+            prepared.query(o.label(pairs[k].first), o.label(pairs[k].second));
+        if (!identical(got, want[k])) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
+}  // namespace
+}  // namespace fsdl

@@ -181,6 +181,31 @@ TEST(FlatContainers, FlatDistMapFindAndFirstWins) {
   EXPECT_EQ(m.find(8), nullptr);
 }
 
+TEST(FlatContainers, FlatMaskMapOrsBitsPerKeyAcrossWords) {
+  const FlatMaskMap empty(2, {});
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.find(3), nullptr);
+
+  // Two words (bits 0..127); 40 keys force the table through two growths.
+  std::vector<std::pair<Vertex, std::uint32_t>> bits;
+  for (Vertex v = 0; v < 40; ++v) bits.emplace_back(v * 1000003u % 4096, v);
+  bits.emplace_back(0, 64);   // key 0 again, second word
+  bits.emplace_back(0, 127);  // and its top bit
+  const FlatMaskMap m(2, bits);
+  EXPECT_EQ(m.size(), 40u);
+  const std::uint64_t* zero = m.find(0);
+  ASSERT_NE(zero, nullptr);
+  EXPECT_EQ(zero[0], 1u);  // bit 0 from the first pair
+  EXPECT_EQ(zero[1], (std::uint64_t{1} << 63) | 1u);
+  for (Vertex v = 1; v < 40; ++v) {
+    const std::uint64_t* mask = m.find(v * 1000003u % 4096);
+    ASSERT_NE(mask, nullptr) << v;
+    EXPECT_EQ(mask[0], std::uint64_t{1} << v) << v;
+    EXPECT_EQ(mask[1], 0u) << v;
+  }
+  EXPECT_EQ(m.find(4097), nullptr);
+}
+
 TEST(FlatContainers, EdgeAccumulatorKeepsMinAndClearsInO1) {
   EdgeAccumulator acc;
   acc.keep_min(42, 7);

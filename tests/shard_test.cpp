@@ -19,6 +19,7 @@
 #include "shard/router.hpp"
 #include "shard/shard_store.hpp"
 #include "shard/wire_label.hpp"
+#include "util/failpoint.hpp"
 
 namespace fsdl {
 namespace {
@@ -360,6 +361,39 @@ TEST_F(RouterFixture, AnswersExactlyLikeAMonolithicOracle) {
   reload.opcode = Opcode::kReload;
   EXPECT_EQ(router.handle(reload).status, Status::kError);
   router.stop();
+}
+
+// A fan-out thread that cannot be started must not take the router down:
+// the groups whose threads did start are joined, the rest are fetched
+// inline, and every answer is still exact. "every:2" fails the second
+// spawn after the first thread is running; the bare spec fails the first.
+TEST_F(RouterFixture, FanoutSpawnFailureFetchesInline) {
+  const ForbiddenSetOracle oracle(*scheme_);
+  const Vertex n = scheme_->num_vertices();
+  for (const char* spec : {"router.fanout.spawn=errno:EAGAIN@every:2",
+                           "router.fanout.spawn=errno:EAGAIN"}) {
+    SCOPED_TRACE(spec);
+    shard::Router router(router_options());  // cold label cache
+    router.start();
+    ASSERT_EQ(failpoint::arm(spec), "");
+    Request batch;
+    batch.opcode = Opcode::kBatch;
+    batch.faults.add_vertex(27);
+    batch.faults.add_edge(0, 1);
+    for (Vertex s = 0; s < n; s += 9) batch.pairs.emplace_back(s, n - 1 - s);
+    const Response resp = router.handle(batch);
+    const std::uint64_t fires = failpoint::fires("router.fanout.spawn");
+    failpoint::disarm_all();
+    router.stop();
+    EXPECT_GT(fires, 0u);
+    ASSERT_EQ(resp.status, Status::kOk) << resp.text;
+    ASSERT_EQ(resp.distances.size(), batch.pairs.size());
+    for (std::size_t i = 0; i < batch.pairs.size(); ++i) {
+      EXPECT_EQ(resp.distances[i],
+                oracle.distance(batch.pairs[i].first, batch.pairs[i].second,
+                                batch.faults));
+    }
+  }
 }
 
 TEST_F(RouterFixture, StartupRefusesAMiswiredFleet) {
