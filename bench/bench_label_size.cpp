@@ -5,18 +5,38 @@
 // (b) bits vs ε at fixed n — paper shape: growth like (1+1/ε)^{2α}
 //     (via c(ε)); and the α-dependence: the same construction on an α = 2
 //     family is orders of magnitude bigger (the 2^{O(α)} constants).
+//
+// Beside the bit counts, decode_us is the mean wall time to decode one
+// label (Alstrup et al. treat decode time as a label metric too).
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "bench/common.hpp"
 
 using namespace fsdl;
 using namespace fsdl::bench;
 
+namespace {
+
+/// Mean µs to decode one label of `scheme`: every label, best of 3 passes.
+double mean_decode_us(const ForbiddenSetLabeling& scheme) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < 3; ++pass) {
+    WallTimer timer;
+    for (Vertex v = 0; v < scheme.num_vertices(); ++v) (void)scheme.label(v);
+    best = std::min(best, timer.elapsed_us() / scheme.num_vertices());
+  }
+  return best;
+}
+
+}  // namespace
+
 int main() {
   std::cout << "E4 (Lemma 2.5): label length accounting\n";
 
   Table by_n({"family", "n", "levels", "mean_bits", "max_bits",
-              "bits/log2n^2"});
+              "bits/log2n^2", "decode_us"});
   for (Vertex n : {128u, 256u, 512u, 1024u, 2048u}) {
     const Graph g = make_path(n);
     const auto scheme =
@@ -29,11 +49,13 @@ int main() {
                                               scheme.min_level() + 1))
         .cell(scheme.mean_label_bits(), 0)
         .cell(static_cast<unsigned long long>(scheme.max_label_bits()))
-        .cell(scheme.mean_label_bits() / (l2 * l2), 0);
+        .cell(scheme.mean_label_bits() / (l2 * l2), 0)
+        .cell(mean_decode_us(scheme), 1);
   }
   emit(by_n, "E4a: faithful label bits vs n (paths, eps=1)");
 
-  Table by_eps({"family", "n", "eps", "c", "mean_bits", "max_bits"});
+  Table by_eps(
+      {"family", "n", "eps", "c", "mean_bits", "max_bits", "decode_us"});
   {
     const Graph g = make_path(512);
     for (double eps : {6.0, 3.0, 1.5, 1.0, 0.5, 0.25}) {
@@ -45,12 +67,14 @@ int main() {
           .cell(eps, 2)
           .cell(static_cast<unsigned long long>(scheme.params().c))
           .cell(scheme.mean_label_bits(), 0)
-          .cell(static_cast<unsigned long long>(scheme.max_label_bits()));
+          .cell(static_cast<unsigned long long>(scheme.max_label_bits()))
+          .cell(mean_decode_us(scheme), 1);
     }
   }
   emit(by_eps, "E4b: faithful label bits vs eps (growth driven by c(eps))");
 
-  Table by_alpha({"family", "alpha", "n", "mean_bits", "max_bits"});
+  Table by_alpha(
+      {"family", "alpha", "n", "mean_bits", "max_bits", "decode_us"});
   for (const char* family : {"path", "cycle", "tree", "grid", "king", "disk"}) {
     const Graph g = workload(family);
     const auto scheme =
@@ -60,7 +84,8 @@ int main() {
         .cell(nominal_alpha(family), 0)
         .cell(static_cast<unsigned long long>(g.num_vertices()))
         .cell(scheme.mean_label_bits(), 0)
-        .cell(static_cast<unsigned long long>(scheme.max_label_bits()));
+        .cell(static_cast<unsigned long long>(scheme.max_label_bits()))
+        .cell(mean_decode_us(scheme), 1);
   }
   emit(by_alpha,
        "E4c: faithful label bits across families (the 2^{O(alpha)} factor)");
@@ -88,7 +113,8 @@ int main() {
   }
   emit(per_level, "E4d: per-level label profile (grid 14x14, vertex 97)");
 
-  Table codec({"family", "n", "classic_bits", "delta_bits", "saving"});
+  Table codec({"family", "n", "classic_bits", "delta_bits", "saving",
+               "classic_decode_us", "delta_decode_us"});
   for (const char* family : {"path", "grid", "disk"}) {
     const Graph g = workload(family);
     BuildOptions delta;
@@ -102,7 +128,9 @@ int main() {
         .cell(static_cast<unsigned long long>(g.num_vertices()))
         .cell(classic.mean_label_bits(), 0)
         .cell(packed.mean_label_bits(), 0)
-        .cell(1.0 - packed.mean_label_bits() / classic.mean_label_bits(), 3);
+        .cell(1.0 - packed.mean_label_bits() / classic.mean_label_bits(), 3)
+        .cell(mean_decode_us(classic), 1)
+        .cell(mean_decode_us(packed), 1);
   }
   emit(codec, "E4e: label codec ablation (classic fixed-width vs delta)");
   return 0;

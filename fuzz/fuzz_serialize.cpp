@@ -5,7 +5,11 @@
 // CRC trailer means almost every mutation is rejected by the checksum, so
 // the interesting paths are the pre-CRC header checks (magic, version,
 // body size) — and mutants that fix up the CRC, which the fuzzer finds via
-// the seed corpus containing a real, valid file.
+// the seed corpus containing a real, valid file. Every stored label of a
+// file that loads is then decoded, so CRC-fixed mutants reach
+// decode_label too: it must throw std::runtime_error (a count or index the
+// bits cannot back) or std::out_of_range (bits ending mid-field), never
+// over-read or over-allocate.
 //
 // Build with -DFSDL_FUZZ=ON (clang only); run via fuzz/run_fuzzers.sh or
 //   ./fuzz_serialize fuzz/corpus/serialize -max_total_time=60
@@ -28,8 +32,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     (void)scheme.total_bits();
     std::stringstream out;
     fsdl::save_labeling(scheme, out);
+    for (fsdl::Vertex v = 0; v < scheme.num_vertices(); ++v) {
+      if (scheme.stores_label(v)) (void)scheme.label(v);
+    }
   } catch (const std::runtime_error&) {
     // Expected for malformed input: a clean, typed rejection.
+  } catch (const std::out_of_range&) {
+    // A label whose bits end mid-field (BitReader past end).
   }
   return 0;
 }

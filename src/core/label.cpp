@@ -1,7 +1,9 @@
 #include "core/label.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace fsdl {
 namespace {
@@ -49,6 +51,17 @@ void decode_edges_delta(std::vector<SketchEdge>& edges, BitReader& in) {
     prev_a = e.a;
     prev_b = e.b;
   }
+}
+
+[[noreturn]] void corrupt(const char* what) {
+  throw std::runtime_error(std::string("label corrupt (") + what + ")");
+}
+
+/// Rejects `count` items of at least `min_bits` each that the unread rest
+/// of the label cannot hold — before anything is sized from the count.
+void check_count(std::uint64_t count, std::size_t min_bits,
+                 const BitReader& in, const char* what) {
+  if (count > in.remaining() / min_bits) corrupt(what);
 }
 
 }  // namespace
@@ -110,10 +123,22 @@ VertexLabel decode_label(BitReader& in, unsigned vertex_bits,
   label.owner = static_cast<Vertex>(in.read_bits(vertex_bits));
   label.owner_net_level = static_cast<unsigned>(in.read_gamma0());
   label.min_level = static_cast<unsigned>(in.read_gamma0());
-  label.top_level = label.min_level + static_cast<unsigned>(in.read_gamma0());
-  label.levels.resize(label.top_level - label.min_level + 1);
+  // Each level costs at least two bits: its point and edge counts.
+  const std::uint64_t span = in.read_gamma0();
+  check_count(span + 1, 2, in, "level count exceeds label size");
+  if (span > std::numeric_limits<unsigned>::max() - label.min_level) {
+    corrupt("level range overflows");
+  }
+  label.top_level = label.min_level + static_cast<unsigned>(span);
+  label.levels.resize(span + 1);
+  // Per extra point: a fixed-width id (classic) or a gamma gap (delta),
+  // plus a gamma distance. Per edge: gamma a, gamma b, gamma w, flag bit.
+  const std::size_t point_bits =
+      codec == LabelCodec::kClassic ? std::size_t{vertex_bits} + 1 : 2;
   for (LevelLabel& ll : label.levels) {
-    const std::size_t num_points = in.read_gamma0() + 1;
+    const std::uint64_t extra_points = in.read_gamma0();
+    check_count(extra_points, point_bits, in, "point count exceeds label size");
+    const std::size_t num_points = extra_points + 1;
     ll.points.resize(num_points);
     ll.dists.resize(num_points);
     ll.points[0] = label.owner;
@@ -132,7 +157,8 @@ VertexLabel decode_label(BitReader& in, unsigned vertex_bits,
         ll.dists[k] = static_cast<Dist>(in.read_gamma());
       }
     }
-    const std::size_t num_edges = in.read_gamma0();
+    const std::uint64_t num_edges = in.read_gamma0();
+    check_count(num_edges, 4, in, "edge count exceeds label size");
     ll.edges.resize(num_edges);
     if (codec == LabelCodec::kClassic) {
       for (SketchEdge& e : ll.edges) {
@@ -143,6 +169,9 @@ VertexLabel decode_label(BitReader& in, unsigned vertex_bits,
       }
     } else {
       decode_edges_delta(ll.edges, in);
+    }
+    for (const SketchEdge& e : ll.edges) {
+      if (e.a >= e.b || e.b >= num_points) corrupt("edge endpoint index");
     }
   }
   return label;

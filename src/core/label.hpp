@@ -84,6 +84,11 @@ void encode_label_header(Vertex owner, unsigned owner_net_level,
 void encode_level(const LevelLabel& level, Vertex owner, unsigned vertex_bits,
                   BitWriter& out, LabelCodec codec = LabelCodec::kClassic);
 
+/// Inverse of encode_label. Labels arrive from files and the wire, so
+/// nothing is trusted: a level, point or edge count the unread bits cannot
+/// hold is rejected before any allocation is sized from it, and so is an
+/// edge without a < b < |points|; both throw std::runtime_error. Bits that
+/// end mid-field throw std::out_of_range (from BitReader).
 VertexLabel decode_label(BitReader& in, unsigned vertex_bits,
                          LabelCodec codec = LabelCodec::kClassic);
 

@@ -192,6 +192,10 @@ class SchemeSerializer {
     scheme.top_level_ = r.pod<std::uint32_t>();
     scheme.vertex_bits_ = r.pod<std::uint32_t>();
     scheme.codec_ = static_cast<LabelCodec>(r.pod<std::uint8_t>());
+    // Vertex ids are u32, so a label's fixed-width id field is 1..32 bits.
+    if (scheme.vertex_bits_ == 0 || scheme.vertex_bits_ > 32) {
+      throw std::runtime_error("labeling file corrupt (vertex bits)");
+    }
     scheme.partition_.shard_id = r.pod<std::uint32_t>();
     scheme.partition_.shard_count = r.pod<std::uint32_t>();
     scheme.partition_.ring_seed = r.pod<std::uint64_t>();

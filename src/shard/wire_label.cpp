@@ -122,6 +122,13 @@ WireLabel decode_wire_label(const std::string& blob) {
     throw std::runtime_error(
         "wire label corrupt (decoded owner does not match tagged vertex)");
   }
+  for (const LevelLabel& ll : out.label.levels) {
+    for (Vertex p : ll.points) {
+      if (p >= out.meta.total_n) {
+        throw std::runtime_error("wire label corrupt (point id out of range)");
+      }
+    }
+  }
   return out;
 }
 

@@ -74,7 +74,9 @@ std::string encode_wire_label(const ForbiddenSetLabeling& scheme, Vertex v,
 
 /// Parse and decode a blob. Throws std::runtime_error on any malformed
 /// input (truncation, version mismatch, word count not covering bit_size,
-/// trailing bytes).
+/// trailing bytes, counts or edge indices the label bits cannot back, a
+/// point id >= total_n) and std::out_of_range on label bits that end
+/// mid-field.
 WireLabel decode_wire_label(const std::string& blob);
 
 }  // namespace fsdl::shard

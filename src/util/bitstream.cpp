@@ -28,30 +28,24 @@ void BitWriter::write_gamma(std::uint64_t value) {
   write_bits(value, len - 1);      // remaining bits below the leading one
 }
 
-std::uint64_t BitReader::read_bits(unsigned width) {
-  if (width > 64) throw std::invalid_argument("BitReader: width > 64");
-  if (width == 0) return 0;
-  if (pos_ + width > bit_size_) throw std::out_of_range("BitReader: past end");
-
-  const std::size_t word_index = pos_ / 64;
-  const unsigned offset = static_cast<unsigned>(pos_ % 64);
-  std::uint64_t value = (*words_)[word_index] >> offset;
-  if (offset + width > 64) {
-    value |= (*words_)[word_index + 1] << (64 - offset);
-  }
-  pos_ += width;
-  if (width < 64) value &= (std::uint64_t{1} << width) - 1;
-  return value;
-}
-
-std::uint64_t BitReader::read_gamma() {
+std::uint64_t BitReader::read_gamma_slow() {
   unsigned zeros = 0;
   while (read_bits(1) == 0) {
     ++zeros;
     if (zeros > 64) throw std::runtime_error("gamma code corrupt");
   }
+  // No value below 2^64 has 64 leading zeros.
+  if (zeros == 64) throw std::runtime_error("gamma code corrupt");
   const std::uint64_t low = zeros == 0 ? 0 : read_bits(zeros);
   return (std::uint64_t{1} << zeros) | low;
+}
+
+void BitReader::throw_bad_width() {
+  throw std::invalid_argument("BitReader: width > 64");
+}
+
+void BitReader::throw_past_end() {
+  throw std::out_of_range("BitReader: past end");
 }
 
 unsigned bits_for(std::uint64_t n) noexcept {

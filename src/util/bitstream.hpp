@@ -8,8 +8,19 @@
 //   - fixed-width unsigned fields,
 //   - Elias gamma (for small positive integers of unknown magnitude),
 //   - unsigned varint-style gamma for values that may be zero.
+//
+// Reads are word-at-a-time. BitReader peeks a 64-bit window starting at the
+// read position, with every bit at or past bit_size() masked to zero, so
+// junk in the last word's tail never leaks into a value. A gamma code that
+// fits the window (at most 64 bits: values below 2^32) costs one
+// count-trailing-zeros plus one shift and mask; longer codes and codes that
+// run past the end take the bit-by-bit path, which throws as before:
+// std::out_of_range past the end, std::runtime_error ("gamma code
+// corrupt") for 64 or more leading zeros, which no 64-bit value has.
+// Values read are identical to a bit-by-bit reader's.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstddef>
 #include <vector>
@@ -35,6 +46,7 @@ class BitWriter {
   void shrink_to_fit() { words_.shrink_to_fit(); }
 
   /// Reconstitute a buffer from persisted words (scheme deserialization).
+  /// Precondition: words.size() * 64 >= bit_size.
   static BitWriter from_words(std::vector<std::uint64_t> words,
                               std::size_t bit_size) {
     BitWriter w;
@@ -48,21 +60,61 @@ class BitWriter {
   std::size_t bit_size_ = 0;
 };
 
-/// Sequential reader over a BitWriter's buffer.
+/// Sequential reader over a BitWriter's buffer. The writer must outlive
+/// the reader and must not be appended to while it is read.
 class BitReader {
  public:
   explicit BitReader(const BitWriter& writer) noexcept
-      : words_(&writer.words()), bit_size_(writer.bit_size()) {}
+      : words_(writer.words().data()),
+        num_words_(writer.words().size()),
+        bit_size_(writer.bit_size()) {}
 
-  std::uint64_t read_bits(unsigned width);
-  std::uint64_t read_gamma();
+  std::uint64_t read_bits(unsigned width) {
+    if (width > 64) throw_bad_width();
+    if (width > remaining()) throw_past_end();
+    if (width == 0) return 0;
+    const std::uint64_t x = window();
+    pos_ += width;
+    return width == 64 ? x : x & ((std::uint64_t{1} << width) - 1);
+  }
+
+  std::uint64_t read_gamma() {
+    // A code with z leading zeros is 2z + 1 bits: the window holds it
+    // whole when z <= 31 and the stop bit lies before bit_size().
+    const std::uint64_t x = pos_ < bit_size_ ? window() : 0;
+    const auto zeros = static_cast<unsigned>(std::countr_zero(x));
+    const unsigned len = 2 * zeros + 1;
+    if (zeros > 31 || len > remaining()) return read_gamma_slow();
+    pos_ += len;
+    return (std::uint64_t{1} << zeros) |
+           ((x >> (zeros + 1)) & ((std::uint64_t{1} << zeros) - 1));
+  }
+
   std::uint64_t read_gamma0() { return read_gamma() - 1; }
 
   std::size_t position() const noexcept { return pos_; }
+  std::size_t remaining() const noexcept { return bit_size_ - pos_; }
   bool exhausted() const noexcept { return pos_ >= bit_size_; }
 
  private:
-  const std::vector<std::uint64_t>* words_;
+  /// The 64 bits starting at pos_, zero at and past bit_size_.
+  /// Precondition: pos_ < bit_size_.
+  std::uint64_t window() const noexcept {
+    const std::size_t w = pos_ / 64;
+    const unsigned offset = static_cast<unsigned>(pos_ % 64);
+    std::uint64_t x = words_[w] >> offset;
+    if (offset != 0 && w + 1 < num_words_) x |= words_[w + 1] << (64 - offset);
+    const std::size_t avail = remaining();
+    if (avail < 64) x &= (std::uint64_t{1} << avail) - 1;
+    return x;
+  }
+
+  std::uint64_t read_gamma_slow();
+  [[noreturn]] static void throw_bad_width();
+  [[noreturn]] static void throw_past_end();
+
+  const std::uint64_t* words_;
+  std::size_t num_words_;
   std::size_t bit_size_;
   std::size_t pos_ = 0;
 };

@@ -3,7 +3,9 @@
 // waypoints, one-shot and prepared, and must build the same sketch (same
 // edges considered, same sketch size, same Dijkstra work). Only pb_checks
 // may differ: it counts lookups, whose unit the two decoders define
-// differently.
+// differently. The label decode is checked the same way: the production
+// BitReader/decode_label against the frozen bit-by-bit copy, on every
+// route a label takes (in process, through a .fsdl file, over the wire).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,10 +18,13 @@
 #include "core/decoder.hpp"
 #include "core/labeling.hpp"
 #include "core/oracle.hpp"
+#include "core/serialize.hpp"
 #include "graph/components.hpp"
 #include "graph/fault_view.hpp"
 #include "graph/generators.hpp"
 #include "reference_decode.hpp"
+#include "shard/shard_store.hpp"
+#include "shard/wire_label.hpp"
 #include "util/rng.hpp"
 
 namespace fsdl {
@@ -175,23 +180,27 @@ Graph make_strip_rgg(Vertex n, double radius, Rng& rng) {
   return largest_component_subgraph(b.build());
 }
 
+struct Family {
+  const char* name;
+  Graph graph;
+};
+
 // Every family is long and thin: its hop diameter (~40) exceeds λ at the
 // lowest certified level (16 compact, 32 faithful ε = 1), so protected
 // balls hold part of the graph, not all of it, and certification decides.
+std::vector<Family> families() {
+  Rng rng(0xdec0de);
+  std::vector<Family> out;
+  out.push_back({"grid3x40", make_grid2d(3, 40)});
+  out.push_back({"king3x40", make_king_grid(3, 40)});
+  out.push_back({"strip-rgg", make_strip_rgg(150, 0.4, rng)});
+  out.push_back({"caterpillar40x2", make_caterpillar(40, 2)});
+  return out;
+}
+
 std::vector<std::unique_ptr<Scheme>> scheme_matrix() {
   std::vector<std::unique_ptr<Scheme>> out;
-  Rng rng(0xdec0de);
-  struct Family {
-    const char* name;
-    Graph graph;
-  };
-  const Family families[] = {
-      {"grid3x40", make_grid2d(3, 40)},
-      {"king3x40", make_king_grid(3, 40)},
-      {"strip-rgg", make_strip_rgg(150, 0.4, rng)},
-      {"caterpillar40x2", make_caterpillar(40, 2)},
-  };
-  for (const Family& fam : families) {
+  for (const Family& fam : families()) {
     for (double eps : {0.5, 1.0}) {
       for (bool faithful : {true, false}) {
         std::ostringstream name;
@@ -219,6 +228,75 @@ TEST(DecoderReference, IdenticalAcrossFamiliesPresetsAndEps) {
     }
   }
   EXPECT_GT(reachable, 0u);
+}
+
+::testing::AssertionResult same_label(const VertexLabel& got,
+                                      const VertexLabel& want) {
+  const auto fail = [](const char* what) {
+    return ::testing::AssertionFailure() << what << " differs";
+  };
+  if (got.owner != want.owner) return fail("owner");
+  if (got.owner_net_level != want.owner_net_level) {
+    return fail("owner_net_level");
+  }
+  if (got.min_level != want.min_level) return fail("min_level");
+  if (got.top_level != want.top_level) return fail("top_level");
+  if (got.levels.size() != want.levels.size()) return fail("level count");
+  for (std::size_t i = 0; i < got.levels.size(); ++i) {
+    const LevelLabel& g = got.levels[i];
+    const LevelLabel& w = want.levels[i];
+    if (g.points != w.points) return fail("points");
+    if (g.dists != w.dists) return fail("dists");
+    if (g.edges.size() != w.edges.size()) return fail("edge count");
+    for (std::size_t e = 0; e < g.edges.size(); ++e) {
+      if (g.edges[e].a != w.edges[e].a || g.edges[e].b != w.edges[e].b ||
+          g.edges[e].w != w.edges[e].w ||
+          g.edges[e].graph_edge != w.edges[e].graph_edge) {
+        return fail("edge");
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Every label of every family × preset × codec, decoded by the frozen
+// bit-by-bit reader, must come back field-for-field equal from the
+// production decoder on all three routes a label travels.
+TEST(DecoderReference, LabelDecodeIdenticalUnderEitherCodec) {
+  std::size_t labels = 0;
+  for (const Family& fam : families()) {
+    for (bool faithful : {true, false}) {
+      for (LabelCodec codec : {LabelCodec::kClassic, LabelCodec::kDelta}) {
+        std::ostringstream name;
+        name << fam.name << (faithful ? " faithful" : " compact")
+             << (codec == LabelCodec::kClassic ? " classic" : " delta");
+        SCOPED_TRACE(name.str());
+        BuildOptions options;
+        options.codec = codec;
+        const ForbiddenSetLabeling scheme = ForbiddenSetLabeling::build(
+            fam.graph,
+            faithful ? SchemeParams::faithful(1.0) : SchemeParams::compact(1.0),
+            options);
+        std::stringstream file;
+        save_labeling(scheme, file);
+        const ForbiddenSetLabeling loaded = load_labeling(file);
+        for (Vertex v = 0; v < scheme.num_vertices(); ++v) {
+          const BitWriter& bits = shard::ShardStore::raw_label(scheme, v);
+          reference::BitReader in(bits);
+          const VertexLabel want =
+              reference::decode_label(in, scheme.vertex_bits(), codec);
+          ASSERT_EQ(in.position(), bits.bit_size()) << "v=" << v;
+          ASSERT_TRUE(same_label(scheme.label(v), want)) << "direct v=" << v;
+          ASSERT_TRUE(same_label(loaded.label(v), want)) << "file v=" << v;
+          const shard::WireLabel wire = shard::decode_wire_label(
+              shard::encode_wire_label(scheme, v, 1));
+          ASSERT_TRUE(same_label(wire.label, want)) << "wire v=" << v;
+          ++labels;
+        }
+      }
+    }
+  }
+  EXPECT_GT(labels, 0u);
 }
 
 /// More than 64 fault centers on a 3×`cols` grid: 66 vertex faults fill

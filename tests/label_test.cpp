@@ -211,5 +211,61 @@ TEST(LabelCodec, DeltaRejectsUnsortedPoints) {
   EXPECT_THROW(encode_label(l, 5, w, LabelCodec::kDelta), std::logic_error);
 }
 
+/// One level, owner 1 plus point 0: the smallest label an edge can sit in.
+VertexLabel two_point_label(SketchEdge edge) {
+  VertexLabel l;
+  l.owner = 1;
+  l.min_level = 4;
+  l.top_level = 4;
+  l.levels.resize(1);
+  l.levels[0].points = {1, 0};
+  l.levels[0].dists = {0, 3};
+  l.levels[0].edges = {edge};
+  return l;
+}
+
+// A CRC-valid file or GET_LABEL reply can still carry bits no builder
+// wrote; an edge index past the level's points would be read out of bounds
+// by the decoder's filter, so decode must refuse it.
+TEST(LabelCodec, DecodeRejectsEdgeIndicesOutsideTheLevel) {
+  for (LabelCodec codec : {LabelCodec::kClassic, LabelCodec::kDelta}) {
+    BitWriter w;
+    encode_label(two_point_label({0, 900000, 2, false}), 4, w, codec);
+    BitReader r(w);
+    EXPECT_THROW(decode_label(r, 4, codec), std::runtime_error);
+  }
+  // a < b is part of the contract too (classic can express a >= b).
+  for (const SketchEdge e : {SketchEdge{1, 1, 2, false},
+                             SketchEdge{1, 0, 2, false}}) {
+    BitWriter w;
+    encode_label(two_point_label(e), 4, w);
+    BitReader r(w);
+    EXPECT_THROW(decode_label(r, 4), std::runtime_error);
+  }
+}
+
+// ~60 bits claiming 2^26 points (or edges, or levels): the count is
+// checked against the bits left before anything is allocated, so this is
+// a runtime_error from the count check, not a 512 MB resize followed by
+// "past end" (std::out_of_range).
+TEST(LabelCodec, DecodeRejectsCountsTheBitsCannotHold) {
+  enum Lie { kPoints, kEdges, kLevels };
+  for (LabelCodec codec : {LabelCodec::kClassic, LabelCodec::kDelta}) {
+    for (Lie lie : {kPoints, kEdges, kLevels}) {
+      BitWriter w;
+      w.write_bits(1, 8);   // owner
+      w.write_gamma0(0);    // owner_net_level
+      w.write_gamma0(4);    // min_level
+      w.write_gamma0(lie == kLevels ? (1u << 26) : 0);  // top - min
+      w.write_gamma0(lie == kPoints ? (1u << 26) : 0);  // extra points
+      w.write_gamma0(lie == kEdges ? (1u << 26) : 0);   // edges
+      EXPECT_LE(w.bit_size(), 128u);
+      BitReader r(w);
+      EXPECT_THROW(decode_label(r, 8, codec), std::runtime_error)
+          << "lie=" << lie << " codec=" << static_cast<int>(codec);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fsdl

@@ -1,6 +1,7 @@
 #include "reference_decode.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "graph/dijkstra.hpp"
 #include "graph/fault_view.hpp"
@@ -38,7 +39,91 @@ SketchGraph& sketch_scratch() {
   return h;
 }
 
+void decode_edges_delta(std::vector<SketchEdge>& edges, BitReader& in) {
+  std::uint32_t prev_a = 0, prev_b = 0;
+  for (SketchEdge& e : edges) {
+    const auto da = static_cast<std::uint32_t>(in.read_gamma0());
+    const auto db = static_cast<std::uint32_t>(in.read_gamma0());
+    e.a = prev_a + da;
+    e.b = da == 0 ? prev_b + db : db;
+    e.w = static_cast<Dist>(in.read_gamma());
+    e.graph_edge = in.read_bits(1) != 0;
+    prev_a = e.a;
+    prev_b = e.b;
+  }
+}
+
 }  // namespace
+
+std::uint64_t BitReader::read_bits(unsigned width) {
+  if (width > 64) throw std::invalid_argument("BitReader: width > 64");
+  if (width == 0) return 0;
+  if (pos_ + width > bit_size_) throw std::out_of_range("BitReader: past end");
+
+  const std::size_t word_index = pos_ / 64;
+  const unsigned offset = static_cast<unsigned>(pos_ % 64);
+  std::uint64_t value = (*words_)[word_index] >> offset;
+  if (offset + width > 64) {
+    value |= (*words_)[word_index + 1] << (64 - offset);
+  }
+  pos_ += width;
+  if (width < 64) value &= (std::uint64_t{1} << width) - 1;
+  return value;
+}
+
+std::uint64_t BitReader::read_gamma() {
+  unsigned zeros = 0;
+  while (read_bits(1) == 0) {
+    ++zeros;
+    if (zeros > 64) throw std::runtime_error("gamma code corrupt");
+  }
+  const std::uint64_t low = zeros == 0 ? 0 : read_bits(zeros);
+  return (std::uint64_t{1} << zeros) | low;
+}
+
+VertexLabel decode_label(BitReader& in, unsigned vertex_bits,
+                         LabelCodec codec) {
+  VertexLabel label;
+  label.owner = static_cast<Vertex>(in.read_bits(vertex_bits));
+  label.owner_net_level = static_cast<unsigned>(in.read_gamma0());
+  label.min_level = static_cast<unsigned>(in.read_gamma0());
+  label.top_level = label.min_level + static_cast<unsigned>(in.read_gamma0());
+  label.levels.resize(label.top_level - label.min_level + 1);
+  for (LevelLabel& ll : label.levels) {
+    const std::size_t num_points = in.read_gamma0() + 1;
+    ll.points.resize(num_points);
+    ll.dists.resize(num_points);
+    ll.points[0] = label.owner;
+    ll.dists[0] = 0;
+    if (codec == LabelCodec::kClassic) {
+      for (std::size_t k = 1; k < num_points; ++k) {
+        ll.points[k] = static_cast<Vertex>(in.read_bits(vertex_bits));
+        ll.dists[k] = static_cast<Dist>(in.read_gamma());
+      }
+    } else {
+      Vertex prev = 0;
+      for (std::size_t k = 1; k < num_points; ++k) {
+        const auto gap = static_cast<Vertex>(in.read_gamma());
+        prev = k == 1 ? gap - 1 : prev + gap;
+        ll.points[k] = prev;
+        ll.dists[k] = static_cast<Dist>(in.read_gamma());
+      }
+    }
+    const std::size_t num_edges = in.read_gamma0();
+    ll.edges.resize(num_edges);
+    if (codec == LabelCodec::kClassic) {
+      for (SketchEdge& e : ll.edges) {
+        e.a = static_cast<std::uint32_t>(in.read_gamma0());
+        e.b = static_cast<std::uint32_t>(in.read_gamma0());
+        e.w = static_cast<Dist>(in.read_gamma());
+        e.graph_edge = in.read_bits(1) != 0;
+      }
+    } else {
+      decode_edges_delta(ll.edges, in);
+    }
+  }
+  return label;
+}
 
 PreparedFaults::PreparedFaults(
     const SchemeParams& params,

@@ -10,6 +10,12 @@
 //
 // The only departure from the original is that the tracing macros are
 // dropped, so the reference adds no spans or counters to a traced build.
+//
+// The file also freezes the label decode: BitReader and decode_label as
+// they stood before word-at-a-time reads, reading one bit per step through
+// a bounds-checked read_bits. The production reader and decoder must return
+// field-for-field the same VertexLabel for every built label under either
+// codec.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +29,27 @@
 #include "util/flat_map.hpp"
 
 namespace fsdl::reference {
+
+/// Bit-by-bit reader over a BitWriter's buffer.
+class BitReader {
+ public:
+  explicit BitReader(const BitWriter& writer) noexcept
+      : words_(&writer.words()), bit_size_(writer.bit_size()) {}
+
+  std::uint64_t read_bits(unsigned width);
+  std::uint64_t read_gamma();
+  std::uint64_t read_gamma0() { return read_gamma() - 1; }
+
+  std::size_t position() const noexcept { return pos_; }
+
+ private:
+  const std::vector<std::uint64_t>* words_;
+  std::size_t bit_size_;
+  std::size_t pos_ = 0;
+};
+
+VertexLabel decode_label(BitReader& in, unsigned vertex_bits,
+                         LabelCodec codec);
 
 QueryResult decode_query(const SchemeParams& params, const QueryInput& in);
 

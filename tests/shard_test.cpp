@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "shard/router.hpp"
 #include "shard/shard_store.hpp"
 #include "shard/wire_label.hpp"
+#include "util/crc32.hpp"
 #include "util/failpoint.hpp"
 
 namespace fsdl {
@@ -202,6 +204,96 @@ TEST(WireLabel, RoundTripCarriesSchemeAndLabel) {
   EXPECT_TRUE(wire.meta.compatible(other.meta));
   other.meta.params.epsilon *= 2;
   EXPECT_FALSE(wire.meta.compatible(other.meta));
+}
+
+/// `scheme` with v's stored label bits replaced by `bits`, through a
+/// save → splice → re-checksum → load round trip: a file (and so a shard's
+/// GET_LABEL reply) that passes every CRC yet carries bits no builder
+/// wrote. Walks the v3 body layout documented in core/serialize.hpp.
+ForbiddenSetLabeling with_label_bits(const ForbiddenSetLabeling& scheme,
+                                     Vertex v, const BitWriter& bits) {
+  std::stringstream saved;
+  save_labeling(scheme, saved);
+  const std::string file = saved.str();
+  constexpr std::size_t kHeader = 4 + 4 + 8;  // magic, version, body_size
+  const std::string body = file.substr(kHeader, file.size() - kHeader - 4);
+  const auto u32_at = [&](std::size_t at) {
+    std::uint32_t x;
+    std::memcpy(&x, body.data() + at, sizeof x);
+    return x;
+  };
+  const auto u64_at = [&](std::size_t at) {
+    std::uint64_t x;
+    std::memcpy(&x, body.data() + at, sizeof x);
+    return x;
+  };
+  const auto append = [](std::string& out, const void* p, std::size_t n) {
+    out.append(static_cast<const char*>(p), n);
+  };
+  // params 14 + levels/bits/codec 9 + partition 20, then n and stored.
+  std::size_t at = 43 + 4;
+  const std::uint32_t stored = u32_at(at);
+  at += 4;
+  std::string spliced = body.substr(0, at);
+  for (std::uint32_t i = 0; i < stored; ++i) {
+    const std::uint32_t vertex = u32_at(at);
+    const std::size_t record = 4 + 8 + 8 + 8 * u64_at(at + 12);
+    if (vertex != v) {
+      spliced += body.substr(at, record);
+    } else {
+      const std::uint64_t bit_size = bits.bit_size();
+      const std::uint64_t words = bits.words().size();
+      append(spliced, &vertex, 4);
+      append(spliced, &bit_size, 8);
+      append(spliced, &words, 8);
+      append(spliced, bits.words().data(), 8 * words);
+    }
+    at += record;
+  }
+  std::string out = file.substr(0, 8);
+  const std::uint64_t body_size = spliced.size();
+  const std::uint32_t crc = crc32(spliced.data(), spliced.size());
+  append(out, &body_size, 8);
+  out += spliced;
+  append(out, &crc, 4);
+  std::stringstream in(out);
+  return load_labeling(in);
+}
+
+/// v's real label with the first edge's b index pushed far past the
+/// level's points, re-encoded in the scheme's own format.
+BitWriter label_with_wild_edge(const ForbiddenSetLabeling& scheme, Vertex v) {
+  VertexLabel l = scheme.label(v);
+  for (LevelLabel& ll : l.levels) {
+    if (!ll.edges.empty()) {
+      ll.edges.front().b = 900000;
+      break;
+    }
+  }
+  BitWriter bits;
+  encode_label(l, scheme.vertex_bits(), bits, scheme.codec());
+  return bits;
+}
+
+TEST(WireLabel, RejectsCrcValidLabelsWithBadIndicesOrIds) {
+  const auto scheme = build_grid_scheme();
+  const auto wild = with_label_bits(scheme, 5, label_with_wild_edge(scheme, 5));
+  EXPECT_THROW(wild.label(5), std::runtime_error);
+  EXPECT_THROW(shard::decode_wire_label(shard::encode_wire_label(wild, 5, 1)),
+               std::runtime_error);
+
+  // A point id the vertex bits can hold but the labeling does not have:
+  // n = 25 ids take 5 bits, so 31 fits the field and is still out of range.
+  const auto small = ForbiddenSetLabeling::build(make_grid2d(5, 5),
+                                                 SchemeParams::faithful(1.0));
+  VertexLabel l = small.label(5);
+  ASSERT_GT(l.levels.back().points.size(), 1u);
+  l.levels.back().points.back() = 31;
+  BitWriter bits;
+  encode_label(l, small.vertex_bits(), bits, small.codec());
+  const auto stray = with_label_bits(small, 5, bits);
+  EXPECT_THROW(shard::decode_wire_label(shard::encode_wire_label(stray, 5, 1)),
+               std::runtime_error);
 }
 
 TEST(WireLabel, RejectsTruncationAndBitFlips) {
@@ -409,6 +501,48 @@ TEST_F(RouterFixture, StartupRefusesAMiswiredFleet) {
   short_fleet.shards.pop_back();
   shard::Router undersized(short_fleet);
   EXPECT_THROW(undersized.start(), std::runtime_error);
+}
+
+// A shard serving a CRC-valid but malformed label must cost the router
+// one ERROR reply, not a crash, and the router keeps answering the rest.
+TEST(ShardedRouter, MalformedShardLabelIsAnErrorReply) {
+  const auto scheme = build_grid_scheme();
+  auto pieces = shard::split_labeling(scheme, 2);
+  const shard::Partitioner ring(pieces[0].partition());
+  Vertex bad = 0;
+  while (ring.owner(bad) != 0) ++bad;
+  pieces[0] = with_label_bits(pieces[0], bad, label_with_wild_edge(scheme, bad));
+
+  std::vector<std::unique_ptr<server::Server>> servers;
+  shard::RouterOptions opt;
+  opt.transport.workers = 2;
+  for (auto& piece : pieces) {
+    server::ServerOptions sopt;
+    sopt.workers = 2;
+    servers.push_back(std::make_unique<server::Server>(std::move(piece), sopt));
+    servers.back()->start();
+    opt.shards.push_back({server::Endpoint{"127.0.0.1", servers.back()->port()}});
+  }
+  shard::Router router(opt);
+  router.start();
+
+  const Vertex good = bad == 0 ? 1 : 0;
+  Request req;
+  req.opcode = Opcode::kDist;
+  req.pairs.emplace_back(bad, good);
+  const Response refused = router.handle(req);
+  EXPECT_EQ(refused.status, Status::kError);
+  EXPECT_NE(refused.text.find("malformed"), std::string::npos)
+      << refused.text;
+
+  const ForbiddenSetOracle oracle(scheme);
+  const Vertex other = good + 1 == bad ? good + 2 : good + 1;
+  req.pairs[0] = {good, other};
+  const Response answered = router.handle(req);
+  ASSERT_EQ(answered.status, Status::kOk) << answered.text;
+  EXPECT_EQ(answered.distances[0], oracle.distance(good, other, {}));
+  router.stop();
+  for (auto& s : servers) s->stop();
 }
 
 TEST(RouterOptionsValidation, RejectsEmptyTopology) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -9,6 +10,7 @@
 
 #include "util/atomic_file.hpp"
 #include "util/bitstream.hpp"
+#include "util/crc32.hpp"
 #include "util/jsonl.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -106,6 +108,169 @@ TEST(BitStream, ReaderThrowsPastEnd) {
   BitReader r(w);
   r.read_bits(1);
   EXPECT_THROW(r.read_bits(1), std::out_of_range);
+}
+
+/// Value v written as `pad` one-bits, then gamma(v), optionally followed
+/// by a trailer; returns the buffer.
+BitWriter padded_gamma(unsigned pad, std::uint64_t v, bool trailer) {
+  BitWriter w;
+  w.write_bits(~std::uint64_t{0}, pad);
+  w.write_gamma(v);
+  if (trailer) w.write_gamma(5);
+  return w;
+}
+
+// Every code length, from 1 bit (value 1) to 127 bits (64-bit values),
+// starting at every offset within a word: short codes take the one-window
+// path, codes past 64 bits the bit-by-bit path, and both cross word
+// boundaries. Without a trailer the code ends exactly at bit_size.
+TEST(BitStream, GammaEveryLengthAtEveryWordOffset) {
+  for (unsigned k = 0; k < 64; ++k) {
+    const std::uint64_t lo = std::uint64_t{1} << k;
+    const std::uint64_t hi = lo | (lo - 1);  // 2^(k+1) - 1
+    for (const std::uint64_t v : {lo, hi}) {
+      for (unsigned pad = 0; pad < 64; ++pad) {
+        for (const bool trailer : {false, true}) {
+          const BitWriter w = padded_gamma(pad, v, trailer);
+          BitReader r(w);
+          ASSERT_EQ(r.read_bits(pad), pad == 0 ? 0 : (~0ULL >> (64 - pad)));
+          ASSERT_EQ(r.read_gamma(), v) << "k=" << k << " pad=" << pad;
+          ASSERT_EQ(r.position(), pad + 2 * k + 1);
+          if (trailer) {
+            ASSERT_EQ(r.read_gamma(), 5u);
+          }
+          ASSERT_TRUE(r.exhausted());
+          ASSERT_EQ(r.remaining(), 0u);
+        }
+      }
+    }
+  }
+}
+
+// Cutting the last bit off a code (it stays set in the word, past
+// bit_size) must read as truncation, never as a shorter value.
+TEST(BitStream, GammaTruncatedByBitSizeThrowsOutOfRange) {
+  for (unsigned k = 1; k < 64; ++k) {
+    for (unsigned pad : {0u, 1u, 31u, 63u}) {
+      const std::uint64_t lo = std::uint64_t{1} << k;
+      const std::uint64_t v = lo | (lo - 1);  // all ones: the cut bit is set
+      const BitWriter full = padded_gamma(pad, v, false);
+      const BitWriter cut =
+          BitWriter::from_words(full.words(), full.bit_size() - 1);
+      BitReader r(cut);
+      r.read_bits(pad);
+      EXPECT_THROW(r.read_gamma(), std::out_of_range)
+          << "k=" << k << " pad=" << pad;
+    }
+  }
+  // Zeros only, then the end: no stop bit ever arrives.
+  BitWriter zeros;
+  zeros.write_bits(0, 40);
+  BitReader r(zeros);
+  EXPECT_THROW(r.read_gamma(), std::out_of_range);
+}
+
+TEST(BitStream, GammaWithTooManyLeadingZerosIsCorrupt) {
+  for (unsigned zeros : {64u, 65u}) {
+    BitWriter w;
+    w.write_bits(0, 64);
+    w.write_bits(0, zeros - 64);
+    w.write_bits(1, 1);
+    w.write_bits(~std::uint64_t{0}, 64);
+    BitReader r(w);
+    EXPECT_THROW(r.read_gamma(), std::runtime_error) << "zeros=" << zeros;
+  }
+}
+
+// Bits at or past bit_size are not part of the stream: a buffer whose last
+// word (and an extra word) is filled with ones past the end must read
+// exactly like the clean one, including where it runs out.
+TEST(BitStream, JunkPastBitSizeIsIgnored) {
+  Rng rng(4242);
+  for (int iter = 0; iter < 200; ++iter) {
+    BitWriter clean;
+    std::vector<std::pair<std::uint64_t, unsigned>> fields;  // width 0: gamma
+    const int count = 1 + static_cast<int>(rng.below(40));
+    for (int k = 0; k < count; ++k) {
+      if (rng.chance(0.3)) {
+        const unsigned width = 1 + static_cast<unsigned>(rng.below(64));
+        const std::uint64_t value = rng.next() >> (64 - width);
+        clean.write_bits(value, width);
+        fields.emplace_back(value, width);
+      } else {
+        const std::uint64_t value = (rng.next() >> rng.below(64)) | 1;
+        clean.write_gamma(value);
+        fields.emplace_back(value, 0);
+      }
+    }
+    // Trailing zeros, so a junk one past the end would complete a code.
+    const unsigned tail = static_cast<unsigned>(rng.below(8));
+    clean.write_bits(0, tail);
+    std::vector<std::uint64_t> words = clean.words();
+    const unsigned used = clean.bit_size() % 64;
+    if (used != 0) words.back() |= ~std::uint64_t{0} << used;
+    words.push_back(~std::uint64_t{0});
+    const BitWriter junk =
+        BitWriter::from_words(std::move(words), clean.bit_size());
+
+    BitReader a(clean), b(junk);
+    for (const auto& [value, width] : fields) {
+      if (width == 0) {
+        ASSERT_EQ(a.read_gamma(), value);
+        ASSERT_EQ(b.read_gamma(), value);
+      } else {
+        ASSERT_EQ(a.read_bits(width), value);
+        ASSERT_EQ(b.read_bits(width), value);
+      }
+    }
+    ASSERT_EQ(b.remaining(), tail);
+    EXPECT_THROW(b.read_gamma(), std::out_of_range) << "tail=" << tail;
+    EXPECT_THROW(a.read_gamma(), std::out_of_range) << "tail=" << tail;
+  }
+}
+
+/// CRC-32 one bit at a time, straight from the reflected polynomial.
+std::uint32_t bitwise_crc32(const std::uint8_t* p, std::size_t size,
+                            std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t k = 0; k < size; ++k) {
+    c ^= p[k];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+    }
+  }
+  return ~c;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const char check[] = "123456789";
+  EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(check, 0), 0u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(crc32(nullptr, 0, 0x12345678u), 0x12345678u);
+  // Incremental: any split continues the same running checksum.
+  for (std::size_t cut = 0; cut <= 9; ++cut) {
+    EXPECT_EQ(crc32(check + cut, 9 - cut, crc32(check, cut)), 0xCBF43926u)
+        << "cut=" << cut;
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthOffsetAndSeed) {
+  for (std::uint64_t data_seed : {1u, 2u, 3u}) {
+    Rng rng(data_seed);
+    std::vector<std::uint8_t> buf(8 + 300);
+    for (auto& byte : buf) byte = static_cast<std::uint8_t>(rng.next());
+    for (std::uint32_t seed : {0u, 0xFFFFFFFFu,
+                               static_cast<std::uint32_t>(rng.next())}) {
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 300; ++len) {
+          const std::uint8_t* p = buf.data() + offset;
+          ASSERT_EQ(crc32(p, len, seed), bitwise_crc32(p, len, seed))
+              << "len=" << len << " offset=" << offset << " seed=" << seed;
+        }
+      }
+    }
+  }
 }
 
 TEST(BitsFor, KnownValues) {
