@@ -8,6 +8,10 @@
 //
 // Beside the bit counts, decode_us is the mean wall time to decode one
 // label (Alstrup et al. treat decode time as a label metric too).
+//
+// (f) in-memory oracle size: the paper's "n × label length" table of
+//     decoded labels against the level-graph store the oracle now reads
+//     (one H_i per level plus every hub list: Σ|H_i| + Σ|P_i(v)|).
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -133,5 +137,31 @@ int main() {
         .cell(mean_decode_us(packed), 1);
   }
   emit(codec, "E4e: label codec ablation (classic fixed-width vs delta)");
+
+  Table memory({"family", "n", "decoded_table_bytes", "store_bytes", "ratio"});
+  for (const char* family : {"path", "grid", "king", "disk"}) {
+    const Graph g = workload(family);
+    const auto scheme =
+        ForbiddenSetLabeling::build(g, SchemeParams::faithful(1.0));
+    // Payload of the decoded table: every label's points, distances and
+    // 16-byte sketch edges (vector headers and allocator slack left out).
+    std::size_t decoded = 0;
+    for (Vertex v = 0; v < scheme.num_vertices(); ++v) {
+      for (const LevelLabel& ll : scheme.label(v).levels) {
+        decoded += ll.points.size() * (sizeof(Vertex) + sizeof(Dist)) +
+                   ll.edges.size() * sizeof(SketchEdge);
+      }
+    }
+    const std::size_t store = scheme.store()->bytes();
+    memory.row()
+        .cell(family)
+        .cell(static_cast<unsigned long long>(g.num_vertices()))
+        .cell(static_cast<unsigned long long>(decoded))
+        .cell(static_cast<unsigned long long>(store))
+        .cell(static_cast<double>(decoded) / static_cast<double>(store), 1);
+  }
+  emit(memory,
+       "E4f: oracle memory, decoded label table vs level-graph store "
+       "(faithful, eps=1)");
   return 0;
 }

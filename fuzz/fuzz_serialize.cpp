@@ -9,7 +9,9 @@
 // file that loads is then decoded, so CRC-fixed mutants reach
 // decode_label too: it must throw std::runtime_error (a count or index the
 // bits cannot back) or std::out_of_range (bits ending mid-field), never
-// over-read or over-allocate.
+// over-read or over-allocate. The level-graph store is then rebuilt from
+// those labels, as every serving path does, so mutants also reach
+// LevelGraphStore::from_labeling and its induced-subgraph check.
 //
 // Build with -DFSDL_FUZZ=ON (clang only); run via fuzz/run_fuzzers.sh or
 //   ./fuzz_serialize fuzz/corpus/serialize -max_total_time=60
@@ -19,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/level_store.hpp"
 #include "core/serialize.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -35,6 +38,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     for (fsdl::Vertex v = 0; v < scheme.num_vertices(); ++v) {
       if (scheme.stores_label(v)) (void)scheme.label(v);
     }
+    (void)fsdl::LevelGraphStore::from_labeling(scheme).bytes();
   } catch (const std::runtime_error&) {
     // Expected for malformed input: a clean, typed rejection.
   } catch (const std::out_of_range&) {

@@ -6,13 +6,14 @@
 //     visited vertex v records (x, d_G(v, x)) — this inverts "collect
 //     N_q ∩ B(v, r_i)" into per-net-point work;
 //   - the same BFS records net-point pair distances <= λ_i (the virtual
-//     edges); per vertex, the level's edge set is assembled from the pairs
-//     whose endpoints both landed in its ball, plus owner-to-point edges.
+//     edges): the level graph H_i, stored once in the LevelGraphStore;
+//     per vertex, the level's edge set is the induced subgraph of H_i on
+//     its ball, plus owner-to-point edges.
 //
 // Total work is Σ_i Σ_{x ∈ N_q} |B(x, r_i)| ⋅ deg — the net density and the
 // ball radius grow/shrink in lockstep, giving n ⋅ 2^{O(α)} per level.
 //
-// Parallel construction (BuildOptions::threads). Each level runs three
+// Parallel construction (BuildOptions::threads). Each level runs these
 // passes:
 //   1. BFS fan-out over net points — each net point's truncated BFS is an
 //      independent read-only walk of G, so workers run them concurrently
@@ -23,10 +24,13 @@
 //      points in net order reproduces the serial builder's increasing-
 //      net-point ordering of lists[v] exactly; this pass is O(Σ|B|) plain
 //      appends, a sliver of the BFS edge-scan work it follows.
-//   3. Assemble+encode fan-out over vertices — each vertex's level graph is
-//      a pure function of lists[v], pair_adj, and rank, and is encoded into
-//      its own preallocated labels_[v] BitWriter with per-worker posn /
-//      LevelLabel scratch. Distinct vector slots, no shared mutation.
+//   Store write (serial): H_i from pair_adj (or, at the compact lowest
+//      level, G's edges among net points), then each vertex's hub list
+//      P_i(v) from lists[v] with its owner edges, in vertex order.
+//   3. Encode fan-out over vertices — each vertex's level graph is listed
+//      from the (now read-only) store in canonical order and encoded into
+//      its own preallocated labels_[v] BitWriter with per-worker LevelLabel
+//      scratch. Distinct vector slots, no shared mutation.
 // Hence labels are bit-identical for every thread count, which
 // parallel_build_test asserts and the CI thread matrix re-checks. With a
 // single worker, passes 1-2 fuse into the classic direct-append loop (no
@@ -35,6 +39,7 @@
 #include <stdexcept>
 
 #include "core/labeling.hpp"
+#include "core/level_store.hpp"
 #include "graph/bfs.hpp"
 #include "graph/components.hpp"
 #include "graph/diameter.hpp"
@@ -80,20 +85,19 @@ ForbiddenSetLabeling ForbiddenSetLabeling::build(const Graph& g,
   const NetHierarchy nets = build_net_hierarchy(g, net_top);
 
   scheme.labels_.resize(n);
+  LevelGraphStore store(n, params.min_level(), top);
   for (Vertex v = 0; v < n; ++v) {
     encode_label_header(v, nets.max_level_of(v), params.min_level(), top,
                         scheme.vertex_bits_, scheme.labels_[v]);
+    store.add_label(v, nets.max_level_of(v));
   }
 
   const unsigned threads = resolve_threads(options.threads);
   // Per-worker scratch. Workers never share a slot: worker t touches only
-  // runners[t], posn[t], scratch[t].
+  // runners[t], scratch[t].
   std::vector<BfsRunner> runners;
   runners.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) runners.emplace_back(g);
-  // posn[t]: position of a vertex in the current label's point list.
-  std::vector<std::vector<std::uint32_t>> posn(
-      threads, std::vector<std::uint32_t>(n, kNone));
   std::vector<LevelLabel> scratch(threads);
   // Shared, read-only during the fan-outs: rank of a vertex within the
   // current level's net (or kNone).
@@ -153,69 +157,90 @@ ForbiddenSetLabeling ForbiddenSetLabeling::build(const Graph& g,
       }
     }
 
-    // Pass 3 — assemble and encode each vertex's level graph, fanned out
-    // over vertices; each writes only its own labels_[v] slot.
+    const bool lowest = i == params.min_level();
+    // H_i as a CSR over vertex ids: the pairs of pair_adj, or, at the
+    // compact lowest level, G's own edges among the level's net points.
+    {
+      std::vector<std::uint32_t> row_begin(static_cast<std::size_t>(n) + 1);
+      std::vector<LevelEdge> entries;
+      for (Vertex x = 0; x < n; ++x) {
+        row_begin[x] = static_cast<std::uint32_t>(entries.size());
+        const std::uint32_t rx = rank[x];
+        if (rx == kNone) continue;
+        if (all_pairs) {
+          for (const auto& [y, d] : pair_adj[rx]) {
+            entries.push_back(LevelEdge::make(y, d, lowest && d == 1));
+          }
+        } else {
+          for (Vertex y : g.neighbors(x)) {
+            if (y > x && rank[y] != kNone) {
+              entries.push_back(LevelEdge::make(y, 1, true));
+            }
+          }
+        }
+      }
+      row_begin[n] = static_cast<std::uint32_t>(entries.size());
+      std::vector<std::vector<std::pair<Vertex, Dist>>>().swap(pair_adj);
+      store.set_level_graph(i, std::move(row_begin), std::move(entries));
+    }
+
+    // Hub lists P_i(v) with their owner edges, in vertex (= label) order.
+    // Each ball list is released as soon as it is copied.
+    {
+      std::vector<Vertex> points;
+      std::vector<Dist> dists;
+      for (Vertex v = 0; v < n; ++v) {
+        points.assign(1, v);
+        dists.assign(1, 0);
+        for (const auto& [x, d] : lists[v]) {
+          if (x == v) continue;  // owner occupies slot 0
+          points.push_back(x);
+          dists.push_back(d);
+        }
+        std::vector<std::pair<Vertex, Dist>>().swap(lists[v]);
+        std::vector<LevelEdge> owner_edges;
+        if (all_pairs) {
+          // Owner-to-point edges (v, x) with d <= λ_i.
+          for (std::uint32_t k = 1; k < points.size(); ++k) {
+            if (dists[k] <= lambda) {
+              owner_edges.push_back(
+                  LevelEdge::make(k, dists[k], lowest && dists[k] == 1));
+            }
+          }
+        } else {
+          // Compact lowest level: the owner's graph edges into its ball.
+          for (Vertex y : g.neighbors(v)) {
+            const auto it = std::lower_bound(points.begin() + 1, points.end(), y);
+            if (it != points.end() && *it == y) {
+              owner_edges.push_back(LevelEdge::make(
+                  static_cast<std::uint32_t>(it - points.begin()), 1, true));
+            }
+          }
+        }
+        store.append_hub(i, points, dists, std::move(owner_edges));
+      }
+    }
+
+    // Pass 3 — encode each vertex's level graph, listed from the store in
+    // canonical order, fanned out over vertices; each writes only its own
+    // labels_[v] slot.
     parallel_for(n, threads, [&](unsigned tid, std::size_t vi) {
       const Vertex v = static_cast<Vertex>(vi);
+      const LevelView view = store.level_view(v, i);
       LevelLabel& ll = scratch[tid];
-      std::vector<std::uint32_t>& pos = posn[tid];
-      ll.points.clear();
-      ll.dists.clear();
+      ll.points.assign(view.points.begin(), view.points.end());
+      ll.dists.assign(view.dists.begin(), view.dists.end());
       ll.edges.clear();
-
-      // Take ownership of this vertex's ball list; its buffer is freed when
-      // `list` leaves scope instead of surviving to the end of the level.
-      const auto list = std::move(lists[v]);
-      ll.points.push_back(v);
-      ll.dists.push_back(0);
-      for (const auto& [x, d] : list) {
-        if (x == v) continue;  // owner occupies slot 0
-        ll.points.push_back(x);
-        ll.dists.push_back(d);
-      }
-      for (std::uint32_t k = 0; k < ll.points.size(); ++k) {
-        pos[ll.points[k]] = k;
-      }
-
-      if (all_pairs) {
-        // Owner-to-point edges (v, x) with d <= λ_i.
-        for (std::uint32_t k = 1; k < ll.points.size(); ++k) {
-          if (ll.dists[k] <= lambda) {
-            ll.edges.push_back({0, k, ll.dists[k],
-                                i == params.min_level() && ll.dists[k] == 1});
-          }
-        }
-        // Net-point pair edges; each unordered pair is stored under its
-        // smaller endpoint, so this visits it exactly once.
-        for (std::uint32_t k = 1; k < ll.points.size(); ++k) {
-          const std::uint32_t rx = rank[ll.points[k]];
-          if (rx == kNone) continue;  // owner-only entries are never here
-          for (const auto& [y, d] : pair_adj[rx]) {
-            const std::uint32_t j = pos[y];
-            if (j == kNone || j == 0) continue;  // absent, or owner (covered)
-            ll.edges.push_back({std::min(k, j), std::max(k, j), d,
-                                i == params.min_level() && d == 1});
-          }
-        }
-      } else {
-        // Compact lowest level: real graph edges among ball members only.
-        for (std::uint32_t k = 0; k < ll.points.size(); ++k) {
-          const Vertex x = ll.points[k];
-          for (Vertex y : g.neighbors(x)) {
-            if (y <= x) continue;
-            const std::uint32_t j = pos[y];
-            if (j == kNone) continue;
-            ll.edges.push_back({std::min(k, j), std::max(k, j), 1, true});
-          }
-        }
-      }
-
+      view.for_each_edge([&](std::uint32_t a, std::uint32_t b, Dist w,
+                             bool graph_edge) {
+        ll.edges.push_back({a, b, w, graph_edge});
+      });
       encode_level(ll, v, scheme.vertex_bits_, scheme.labels_[v],
                    options.codec);
-      for (Vertex p : ll.points) pos[p] = kNone;
     });
   }
   for (auto& w : scheme.labels_) w.shrink_to_fit();
+  scheme.store_ = std::make_shared<const LevelGraphStore>(std::move(store));
   return scheme;
 }
 

@@ -1,9 +1,10 @@
 #include "core/label.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
-#include <string>
+#include <utility>
+
+#include "core/label_decode.hpp"
 
 namespace fsdl {
 namespace {
@@ -19,11 +20,19 @@ void encode_edges_classic(const std::vector<SketchEdge>& edges,
   }
 }
 
+/// Canonical level-edge order: (a, b, graph_edge, w). The builders emit it
+/// (owner edges, a = 0, come first), so both codecs decode to one order.
+bool canonical_less(const SketchEdge& x, const SketchEdge& y) {
+  if (x.a != y.a) return x.a < y.a;
+  if (x.b != y.b) return x.b < y.b;
+  if (x.graph_edge != y.graph_edge) return !x.graph_edge;
+  return x.w < y.w;
+}
+
 void encode_edges_delta(std::vector<SketchEdge> edges, BitWriter& out) {
-  std::sort(edges.begin(), edges.end(),
-            [](const SketchEdge& x, const SketchEdge& y) {
-              return x.a != y.a ? x.a < y.a : x.b < y.b;
-            });
+  if (!std::is_sorted(edges.begin(), edges.end(), canonical_less)) {
+    std::sort(edges.begin(), edges.end(), canonical_less);
+  }
   out.write_gamma0(edges.size());
   std::uint32_t prev_a = 0, prev_b = 0;
   for (const SketchEdge& e : edges) {
@@ -37,31 +46,6 @@ void encode_edges_delta(std::vector<SketchEdge> edges, BitWriter& out) {
     prev_a = e.a;
     prev_b = e.b;
   }
-}
-
-void decode_edges_delta(std::vector<SketchEdge>& edges, BitReader& in) {
-  std::uint32_t prev_a = 0, prev_b = 0;
-  for (SketchEdge& e : edges) {
-    const auto da = static_cast<std::uint32_t>(in.read_gamma0());
-    const auto db = static_cast<std::uint32_t>(in.read_gamma0());
-    e.a = prev_a + da;
-    e.b = da == 0 ? prev_b + db : db;
-    e.w = static_cast<Dist>(in.read_gamma());
-    e.graph_edge = in.read_bits(1) != 0;
-    prev_a = e.a;
-    prev_b = e.b;
-  }
-}
-
-[[noreturn]] void corrupt(const char* what) {
-  throw std::runtime_error(std::string("label corrupt (") + what + ")");
-}
-
-/// Rejects `count` items of at least `min_bits` each that the unread rest
-/// of the label cannot hold — before anything is sized from the count.
-void check_count(std::uint64_t count, std::size_t min_bits,
-                 const BitReader& in, const char* what) {
-  if (count > in.remaining() / min_bits) corrupt(what);
 }
 
 }  // namespace
@@ -117,64 +101,40 @@ void encode_label(const VertexLabel& label, unsigned vertex_bits,
   }
 }
 
+namespace {
+
+/// parse_label output that assembles a VertexLabel.
+struct VertexLabelOut {
+  VertexLabel label;
+
+  void header(Vertex owner, unsigned owner_net_level, unsigned min_level,
+              unsigned top_level) {
+    label.owner = owner;
+    label.owner_net_level = owner_net_level;
+    label.min_level = min_level;
+    label.top_level = top_level;
+    label.levels.reserve(top_level - min_level + 1);
+  }
+  void points(const std::vector<Vertex>& points,
+              const std::vector<Dist>& dists) {
+    LevelLabel& ll = label.levels.emplace_back();
+    ll.points = points;
+    ll.dists = dists;
+  }
+  void edges(std::size_t count) { label.levels.back().edges.reserve(count); }
+  void edge(std::uint32_t a, std::uint32_t b, Dist w, bool graph_edge) {
+    label.levels.back().edges.push_back({a, b, w, graph_edge});
+  }
+  void end_level() {}
+};
+
+}  // namespace
+
 VertexLabel decode_label(BitReader& in, unsigned vertex_bits,
                          LabelCodec codec) {
-  VertexLabel label;
-  label.owner = static_cast<Vertex>(in.read_bits(vertex_bits));
-  label.owner_net_level = static_cast<unsigned>(in.read_gamma0());
-  label.min_level = static_cast<unsigned>(in.read_gamma0());
-  // Each level costs at least two bits: its point and edge counts.
-  const std::uint64_t span = in.read_gamma0();
-  check_count(span + 1, 2, in, "level count exceeds label size");
-  if (span > std::numeric_limits<unsigned>::max() - label.min_level) {
-    corrupt("level range overflows");
-  }
-  label.top_level = label.min_level + static_cast<unsigned>(span);
-  label.levels.resize(span + 1);
-  // Per extra point: a fixed-width id (classic) or a gamma gap (delta),
-  // plus a gamma distance. Per edge: gamma a, gamma b, gamma w, flag bit.
-  const std::size_t point_bits =
-      codec == LabelCodec::kClassic ? std::size_t{vertex_bits} + 1 : 2;
-  for (LevelLabel& ll : label.levels) {
-    const std::uint64_t extra_points = in.read_gamma0();
-    check_count(extra_points, point_bits, in, "point count exceeds label size");
-    const std::size_t num_points = extra_points + 1;
-    ll.points.resize(num_points);
-    ll.dists.resize(num_points);
-    ll.points[0] = label.owner;
-    ll.dists[0] = 0;
-    if (codec == LabelCodec::kClassic) {
-      for (std::size_t k = 1; k < num_points; ++k) {
-        ll.points[k] = static_cast<Vertex>(in.read_bits(vertex_bits));
-        ll.dists[k] = static_cast<Dist>(in.read_gamma());
-      }
-    } else {
-      Vertex prev = 0;
-      for (std::size_t k = 1; k < num_points; ++k) {
-        const auto gap = static_cast<Vertex>(in.read_gamma());
-        prev = k == 1 ? gap - 1 : prev + gap;
-        ll.points[k] = prev;
-        ll.dists[k] = static_cast<Dist>(in.read_gamma());
-      }
-    }
-    const std::uint64_t num_edges = in.read_gamma0();
-    check_count(num_edges, 4, in, "edge count exceeds label size");
-    ll.edges.resize(num_edges);
-    if (codec == LabelCodec::kClassic) {
-      for (SketchEdge& e : ll.edges) {
-        e.a = static_cast<std::uint32_t>(in.read_gamma0());
-        e.b = static_cast<std::uint32_t>(in.read_gamma0());
-        e.w = static_cast<Dist>(in.read_gamma());
-        e.graph_edge = in.read_bits(1) != 0;
-      }
-    } else {
-      decode_edges_delta(ll.edges, in);
-    }
-    for (const SketchEdge& e : ll.edges) {
-      if (e.a >= e.b || e.b >= num_points) corrupt("edge endpoint index");
-    }
-  }
-  return label;
+  VertexLabelOut out;
+  detail::parse_label(in, vertex_bits, codec, out);
+  return std::move(out.label);
 }
 
 }  // namespace fsdl

@@ -64,8 +64,8 @@ struct VertexLabel {
 ///  - kClassic: fixed ⌈log₂ n⌉-bit point ids (the paper's accounting) and
 ///    absolute edge endpoints.
 ///  - kDelta: point ids gamma-coded as gaps of the sorted list; edges
-///    sorted lexicographically and delta-coded. Same information, fewer
-///    bits; measured in experiment E4.
+///    in canonical order and delta-coded. Same information, fewer bits;
+///    measured in experiment E4.
 enum class LabelCodec : std::uint8_t { kClassic = 0, kDelta = 1 };
 
 /// Serialize; `vertex_bits` = bits per vertex id (⌈log₂ n⌉, fixed width as
@@ -80,7 +80,10 @@ void encode_label_header(Vertex owner, unsigned owner_net_level,
                          unsigned min_level, unsigned top_level,
                          unsigned vertex_bits, BitWriter& out);
 /// kDelta requires level.points[1..] in increasing id order (the builders
-/// guarantee this) and sorts a copy of the edges internally.
+/// guarantee this) and writes the edges in canonical (a, b, graph_edge, w)
+/// order, sorting a copy when they arrive in another. kClassic writes them
+/// as given; the builders give canonical order, so a label decodes to the
+/// same edge sequence under either codec.
 void encode_level(const LevelLabel& level, Vertex owner, unsigned vertex_bits,
                   BitWriter& out, LabelCodec codec = LabelCodec::kClassic);
 

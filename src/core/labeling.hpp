@@ -2,15 +2,19 @@
 // forbidden-set (1+ε)-approximate distance labels (Theorem 2.1).
 //
 // The scheme object holds one serialized bit string per vertex plus the
-// shared scheme description (n, parameters, level range). Decoding a label
-// is cheap and done on demand; ForbiddenSetOracle caches decoded labels for
-// repeated querying.
+// shared scheme description (n, parameters, level range). The bits are what
+// files, GET_LABEL and the E4 accounting use. Queries read the labels from
+// a LevelGraphStore instead (core/level_store.hpp): the builders write one
+// beside the bits, and ForbiddenSetOracle rebuilds one from the bits when a
+// labeling arrives without it (loaded from a file, merged).
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "core/label.hpp"
+#include "core/level_store.hpp"
 #include "core/params.hpp"
 #include "graph/graph.hpp"
 #include "shard/partition.hpp"
@@ -59,6 +63,14 @@ class ForbiddenSetLabeling {
   /// Decode the label of v.
   VertexLabel label(Vertex v) const;
 
+  /// The level-graph store written beside the bits by the builders (and
+  /// cut by ShardStore::split); null for a labeling loaded from a file or
+  /// merged from shards, whose store is rebuilt from the bits on demand
+  /// (LevelGraphStore::from_labeling).
+  const std::shared_ptr<const LevelGraphStore>& store() const noexcept {
+    return store_;
+  }
+
   /// Exact serialized size of L(v) in bits.
   std::size_t label_bits(Vertex v) const { return labels_[v].bit_size(); }
 
@@ -94,6 +106,7 @@ class ForbiddenSetLabeling {
   LabelCodec codec_ = LabelCodec::kClassic;
   std::vector<BitWriter> labels_;
   shard::PartitionInfo partition_;
+  std::shared_ptr<const LevelGraphStore> store_;
 };
 
 }  // namespace fsdl

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/level_store.hpp"
 #include "graph/wsearch.hpp"
 #include "nets/weighted_nets.hpp"
 
@@ -34,6 +35,15 @@ Dist weighted_sweep(const WeightedGraph& g) {
     if (d != kInfDist) best = std::max(best, d);
   }
   return best;
+}
+
+/// A real edge's weight as a level-edge weight (below 2^31).
+template <typename Arc>
+Dist real_weight(const Arc& arc) {
+  if (arc.weight > LevelEdge::kMaxWeight) {
+    throw std::invalid_argument("edge weight must be below 2^31");
+  }
+  return static_cast<Dist>(arc.weight);
 }
 
 bool weighted_connected(const WeightedGraph& g) {
@@ -71,13 +81,14 @@ class WeightedLabelingBuilder {
         build_weighted_net_hierarchy(g, top - params.c - 1);
 
     scheme.labels_.resize(n);
+    LevelGraphStore store(n, params.min_level(), top);
     for (Vertex v = 0; v < n; ++v) {
       encode_label_header(v, nets.max_level_of(v), params.min_level(), top,
                           scheme.vertex_bits_, scheme.labels_[v]);
+      store.add_label(v, nets.max_level_of(v));
     }
 
     DijkstraRunner search(g);
-    std::vector<std::uint32_t> posn(n, kNone);
     std::vector<std::uint32_t> rank(n, kNone);
 
     for (unsigned i = params.min_level(); i <= top; ++i) {
@@ -104,64 +115,83 @@ class WeightedLabelingBuilder {
         });
       }
 
+      // H_i: the virtual pairs (all-pairs levels) plus, at the lowest
+      // level, the real graph edges among the level's net points with their
+      // true weights; the decoder admits those on the fault check alone. A
+      // real edge is always usable, even when heavier than λ or than the
+      // current shortest path (which a fault may sever).
+      const bool lowest = i == params.min_level();
+      std::vector<std::uint32_t> row_begin(static_cast<std::size_t>(n) + 1);
+      std::vector<LevelEdge> entries;
+      for (Vertex x = 0; x < n; ++x) {
+        row_begin[x] = static_cast<std::uint32_t>(entries.size());
+        const std::uint32_t rx = rank[x];
+        if (rx == kNone) continue;
+        if (all_pairs) {
+          for (const auto& [y, d] : pair_adj[rx]) {
+            entries.push_back(LevelEdge::make(y, d, false));
+          }
+        }
+        if (lowest) {
+          for (const auto& arc : g.arcs(x)) {
+            if (arc.to > x && rank[arc.to] != kNone) {
+              entries.push_back(LevelEdge::make(arc.to, real_weight(arc), true));
+            }
+          }
+        }
+      }
+      row_begin[n] = static_cast<std::uint32_t>(entries.size());
+      store.set_level_graph(i, std::move(row_begin), std::move(entries));
+
+      std::vector<Vertex> points;
+      std::vector<Dist> dists;
       LevelLabel ll;
       for (Vertex v = 0; v < n; ++v) {
-        ll.points.clear();
-        ll.dists.clear();
-        ll.edges.clear();
-
-        ll.points.push_back(v);
-        ll.dists.push_back(0);
+        points.assign(1, v);
+        dists.assign(1, 0);
         for (const auto& [x, d] : lists[v]) {
           if (x == v) continue;
-          ll.points.push_back(x);
-          ll.dists.push_back(d);
+          points.push_back(x);
+          dists.push_back(d);
         }
-        for (std::uint32_t k = 0; k < ll.points.size(); ++k) {
-          posn[ll.points[k]] = k;
-        }
-
-        if (all_pairs) {
-          for (std::uint32_t k = 1; k < ll.points.size(); ++k) {
-            if (ll.dists[k] <= lambda) {
-              ll.edges.push_back({0, k, ll.dists[k], false});
-            }
-          }
-          for (std::uint32_t k = 1; k < ll.points.size(); ++k) {
-            const std::uint32_t rx = rank[ll.points[k]];
-            if (rx == kNone) continue;
-            for (const auto& [y, d] : pair_adj[rx]) {
-              const std::uint32_t j = posn[y];
-              if (j == kNone || j == 0) continue;
-              ll.edges.push_back({std::min(k, j), std::max(k, j), d, false});
-            }
-          }
-        }
-        if (i == params.min_level()) {
-          // Real graph edges among ball members, with their true weights;
-          // the decoder admits these on the fault check alone. A real edge
-          // is always usable, even when heavier than λ or than the current
-          // shortest path (which a fault may sever).
-          for (std::uint32_t k = 0; k < ll.points.size(); ++k) {
-            const Vertex x = ll.points[k];
-            for (const auto& arc : g.arcs(x)) {
-              if (arc.to <= x) continue;
-              const std::uint32_t j = posn[arc.to];
-              if (j == kNone) continue;
-              ll.edges.push_back(
-                  {std::min(k, j), std::max(k, j), arc.weight, true});
-            }
-          }
-        }
-
-        encode_level(ll, v, scheme.vertex_bits_, scheme.labels_[v],
-                     options.codec);
-        for (Vertex p : ll.points) posn[p] = kNone;
         lists[v].clear();
         lists[v].shrink_to_fit();
+        std::vector<LevelEdge> owner_edges;
+        if (all_pairs) {
+          for (std::uint32_t k = 1; k < points.size(); ++k) {
+            if (dists[k] <= lambda) {
+              owner_edges.push_back(LevelEdge::make(k, dists[k], false));
+            }
+          }
+        }
+        if (lowest) {
+          for (const auto& arc : g.arcs(v)) {
+            const auto it =
+                std::lower_bound(points.begin() + 1, points.end(), arc.to);
+            if (it != points.end() && *it == arc.to) {
+              owner_edges.push_back(LevelEdge::make(
+                  static_cast<std::uint32_t>(it - points.begin()),
+                  real_weight(arc), true));
+            }
+          }
+        }
+        store.append_hub(i, points, dists, std::move(owner_edges));
+
+        // Encode the level graph as listed from the store (canonical order).
+        const LevelView view = store.level_view(v, i);
+        ll.points = points;
+        ll.dists = dists;
+        ll.edges.clear();
+        view.for_each_edge([&](std::uint32_t a, std::uint32_t b, Dist w,
+                               bool graph_edge) {
+          ll.edges.push_back({a, b, w, graph_edge});
+        });
+        encode_level(ll, v, scheme.vertex_bits_, scheme.labels_[v],
+                     options.codec);
       }
     }
     for (auto& w : scheme.labels_) w.shrink_to_fit();
+    scheme.store_ = std::make_shared<const LevelGraphStore>(std::move(store));
     return scheme;
   }
 };

@@ -43,8 +43,6 @@ enum class Counter : unsigned {
   kEdgesConsidered,       // virtual edges tested for certification
   kSafeEdgeChecks,        // protected-ball lookups (Lemma 2.3)
   kDijkstraRelaxations,   // arc scans in the sketch Dijkstra (Lemma 2.6)
-  kLabelCacheHit,         // oracle label table: decoded label reused
-  kLabelCacheMiss,        // oracle label table: decode performed
   kPreparedCacheHit,      // server PreparedFaults LRU hit
   kPreparedCacheMiss,     // server PreparedFaults LRU miss (|F|² build paid)
   kCount_
@@ -58,8 +56,6 @@ constexpr const char* counter_name(Counter c) {
     case Counter::kEdgesConsidered: return "edges_considered";
     case Counter::kSafeEdgeChecks: return "safe_edge_checks";
     case Counter::kDijkstraRelaxations: return "dijkstra_relaxations";
-    case Counter::kLabelCacheHit: return "label_cache_hit";
-    case Counter::kLabelCacheMiss: return "label_cache_miss";
     case Counter::kPreparedCacheHit: return "prepared_cache_hit";
     case Counter::kPreparedCacheMiss: return "prepared_cache_miss";
     case Counter::kCount_: break;

@@ -6,9 +6,10 @@ namespace fsdl {
 namespace {
 
 /// Per-level nearest-net-point chain of an owner label, ascending levels.
-std::vector<Vertex> anchor_chain(const VertexLabel& label) {
+std::vector<Vertex> anchor_chain(const LabelView& label) {
   std::vector<Vertex> chain;
-  for (const LevelLabel& ll : label.levels) {
+  for (unsigned i = label.min_level(); i <= label.top_level(); ++i) {
+    const LevelView ll = label.level(i);
     std::uint32_t best = 0;
     Dist best_d = kInfDist;
     for (std::uint32_t k = 1; k < ll.points.size(); ++k) {

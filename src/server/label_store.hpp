@@ -1,8 +1,9 @@
 // Hot-swappable label state for the query server.
 //
 // A LabelSnapshot bundles everything a request needs that must stay
-// mutually consistent: the labeling, the oracle decoding it, and the
-// PreparedFaults cache keyed against that oracle's labels. The three are
+// mutually consistent: the labeling, the oracle reading it (through its
+// level-graph store), and the PreparedFaults cache keyed against that
+// oracle's labels. The three are
 // swapped as one unit — a prepared fault set built from epoch-1 labels must
 // never answer a query routed to epoch-2 labels, so the cache lives *inside*
 // the snapshot and is invalidated by construction on every swap (the
@@ -70,8 +71,8 @@ class LabelSnapshot {
 
  private:
   // Destruction order matters (reverse of declaration): cache_ releases its
-  // PreparedFaults before owned_oracle_, which drops its decoded-label
-  // cache before owned_scheme_ frees the raw bits.
+  // PreparedFaults (views into the oracle's store) before owned_oracle_
+  // drops the store, and owned_oracle_ goes before owned_scheme_.
   std::unique_ptr<const ForbiddenSetLabeling> owned_scheme_;
   std::unique_ptr<const ForbiddenSetOracle> owned_oracle_;
   const ForbiddenSetOracle* oracle_;

@@ -52,10 +52,6 @@ Server::Server(ForbiddenSetLabeling scheme, const ServerOptions& options)
 
 Server::~Server() { stop(); }
 
-void Server::on_start() {
-  if (options_.warm_labels) store_.current()->oracle().warm();
-}
-
 std::string Server::reload(const std::string& path) {
   const std::string source = path.empty() ? options_.label_path : path;
   if (source.empty()) {
@@ -68,9 +64,9 @@ std::string Server::reload(const std::string& path) {
   std::lock_guard<std::mutex> lock(reload_mu_);
   reloading_.store(true, std::memory_order_release);
   try {
-    // The slow part — disk read + CRC sweep + label table build — happens
-    // entirely off to the side, on the caller's thread, against no lock the
-    // query path takes.
+    // The slow part — disk read + CRC sweep + level-graph store rebuild —
+    // happens entirely off to the side, on the caller's thread, against no
+    // lock the query path takes.
     ForbiddenSetLabeling scheme = load_labeling(source);
     // Partition identity check: a shard server must keep serving *its*
     // partition across reloads. Accepting a file cut for a different shard
@@ -93,14 +89,14 @@ std::string Server::reload(const std::string& path) {
                     current.ring_points);
       return buf;
     }
-    // Snapshot-build allocation failure: the file read fine but the label
-    // table could not be built. Must classify as error with the old
-    // snapshot still serving, like any other load failure.
+    // Snapshot-build failure: the file read fine but its level-graph store
+    // could not be built (allocation failure, or a labeling the rebuild
+    // rejects). Must classify as error with the old snapshot still serving,
+    // like any other load failure.
     if (FSDL_FAILPOINT("server.reload.publish")) throw std::bad_alloc();
     auto snapshot = std::make_shared<const LabelSnapshot>(
         std::move(scheme), options_.cache_capacity, options_.cache_shards,
         store_.epoch() + 1);
-    if (options_.warm_labels) snapshot->oracle().warm();
     store_.publish(std::move(snapshot));
     metrics_.record_reload(ReloadResult::kOk);
     reloading_.store(false, std::memory_order_release);
@@ -118,6 +114,17 @@ std::string Server::reload(const std::string& path) {
     reloading_.store(false, std::memory_order_release);
     return e.what();
   }
+}
+
+std::string Server::prometheus(const LabelSnapshot& snap) const {
+  std::string out = metrics_.render_prometheus(snap.cache().stats());
+  out +=
+      "# HELP fsdl_label_store_bytes Heap bytes of the serving snapshot's "
+      "level-graph store (every H_i plus the hub lists it holds).\n"
+      "# TYPE fsdl_label_store_bytes gauge\n"
+      "fsdl_label_store_bytes " +
+      std::to_string(snap.oracle().store().bytes()) + "\n";
+  return out;
 }
 
 std::string Server::health_text() const {
@@ -182,14 +189,14 @@ Response Server::handle(const Request& req) {
       return resp;
     }
     case Opcode::kMetrics: {
-      resp.text = metrics_.render_prometheus(snap->cache().stats());
+      resp.text = prometheus(*snap);
       metrics_.record(RequestType::kMetrics, 0, timer.elapsed_us());
       return resp;
     }
     case Opcode::kFleetStats: {
       // A shard server is a fleet of one: FLEET_STATS is its own METRICS
       // rendering. The router overrides this with the real scatter/merge.
-      resp.text = metrics_.render_prometheus(snap->cache().stats());
+      resp.text = prometheus(*snap);
       metrics_.record(RequestType::kFleetStats, 0, timer.elapsed_us());
       return resp;
     }

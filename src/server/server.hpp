@@ -50,8 +50,6 @@ struct ServerOptions {
   /// Max distinct fault sets kept prepared.
   std::size_t cache_capacity = 256;
   std::size_t cache_shards = 8;
-  /// Decode every label at startup instead of on first touch.
-  bool warm_labels = false;
   /// listen(2) backlog. Connections beyond it queue in the kernel (or are
   /// refused), before user-space admission control even sees them.
   int listen_backlog = 64;
@@ -148,24 +146,22 @@ class Server : public FrameServer {
     return store_.current()->cache().stats();
   }
 
-  /// Prometheus text exposition of the current registry + cache state (the
-  /// METRICS opcode body; also written by fsdl_serve --metrics-dump).
-  std::string prometheus() const {
-    return metrics_.render_prometheus(cache_stats());
-  }
+  /// Prometheus text exposition of the current registry + cache state, plus
+  /// the snapshot's fsdl_label_store_bytes gauge (the METRICS opcode body;
+  /// also written by fsdl_serve --metrics-dump).
+  std::string prometheus() const { return prometheus(*store_.current()); }
 
   /// Answer one decoded request — the transport-independent core, shared
   /// with tests that exercise dispatch without sockets.
   Response handle(const Request& req) override;
 
- protected:
-  void on_start() override;
 
  private:
   void log_slow_query(const Request& req, const QueryStats& stats,
                       double total_us, const std::string& span_tree,
                       std::uint64_t trace_hi, std::uint64_t trace_lo);
   static TransportOptions transport_of(const ServerOptions& options);
+  std::string prometheus(const LabelSnapshot& snap) const;
 
   ServerOptions options_;
   LabelStore store_;

@@ -32,6 +32,15 @@ std::vector<ForbiddenSetLabeling> ShardStore::split(
   for (Vertex v = 0; v < n; ++v) {
     out[part.owner(v)].labels_[v] = scheme.labels_[v];
   }
+  // Each piece keeps every H_i (small) and its own vertices' hub lists. A
+  // scheme without a store (loaded from a file) leaves the pieces without
+  // one too; their oracles rebuild it from the piece's labels.
+  if (scheme.store_ != nullptr) {
+    for (std::uint32_t s = 0; s < shard_count; ++s) {
+      out[s].store_ = std::make_shared<const LevelGraphStore>(
+          scheme.store_->subset([&](Vertex v) { return part.owner(v) == s; }));
+    }
+  }
   return out;
 }
 

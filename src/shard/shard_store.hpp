@@ -7,6 +7,10 @@
 // only the owned records plus the partition identity, so K shard files
 // together cost the same label bytes as the one original file.
 //
+// split hands each piece the full H_i of the level-graph store plus its
+// own vertices' hub lists; merge leaves the store to be rebuilt (and
+// checked) from the merged labels.
+//
 // split → serve → merge is round-trip exact: merging all K shards of a
 // split yields a labeling that re-serializes byte-identically to the
 // original file (asserted by shard_test and by the shard_pipeline ctest).

@@ -26,10 +26,17 @@ class OracleTest : public ::testing::Test {
 
 TEST_F(OracleTest, LabelAccessorMatchesScheme) {
   for (Vertex v : {0u, 37u, 99u}) {
-    const VertexLabel& cached = oracle_->label(v);
-    EXPECT_EQ(cached.owner, v);
-    // Second access returns the same cached object.
-    EXPECT_EQ(&oracle_->label(v), &cached);
+    const LabelView view = oracle_->label(v);
+    EXPECT_EQ(view.owner(), v);
+    // The store view lists exactly what the label's bits decode to.
+    const VertexLabel stored = view.materialize();
+    const VertexLabel decoded = scheme_->label(v);
+    ASSERT_EQ(stored.levels.size(), decoded.levels.size());
+    for (std::size_t i = 0; i < stored.levels.size(); ++i) {
+      EXPECT_EQ(stored.levels[i].points, decoded.levels[i].points);
+      EXPECT_EQ(stored.levels[i].dists, decoded.levels[i].dists);
+      ASSERT_EQ(stored.levels[i].edges.size(), decoded.levels[i].edges.size());
+    }
   }
 }
 

@@ -28,10 +28,13 @@ set(client_prom ${WORK_DIR}/ha_client_metrics.prom)
 set(reload_log ${WORK_DIR}/ha_reload_server.log)
 set(server_prom ${WORK_DIR}/ha_server_metrics.prom)
 
-# Fixed ports: the killed replica must come back on the SAME address for
-# the restart to count as recovery (SO_REUSEADDR makes the rebind safe).
-set(port1 45117)
-set(port2 45118)
+# Both replicas bind port 0 and the script reads the kernel's choice from
+# each startup line ("port=N"): a fixed port can be held by another test's
+# client socket, since fixed ports sit inside the ephemeral range. The
+# killed replica must come back on the SAME address for the restart to
+# count as recovery, so it rebinds the port of its first start
+# (SO_REUSEADDR makes the rebind safe).
+set(port_of "port_of() { sed -n 's/.*port=\\([0-9][0-9]*\\).*/\\1/p' \"$1\"; }")
 
 run_checked(${FSDL_BIN} gen grid 8 8 ${graph})
 run_checked(${FSDL_BIN} build ${graph} ${scheme} --eps 1.0)
@@ -39,10 +42,11 @@ run_checked(${FSDL_BIN} build ${graph} ${scheme} --eps 1.0)
 # --- Act 1: SIGKILL one of two replicas mid-run, then restart it. ---------
 execute_process(
   COMMAND sh -ec "\
-    '${SERVE_BIN}' '${scheme}' --port ${port1} --workers 2 --drain-ms 500 \
+    ${port_of}; \
+    '${SERVE_BIN}' '${scheme}' --port 0 --workers 2 --drain-ms 500 \
         > '${r1log}' 2> '${r1log}.err' & \
     r1=$!; \
-    '${SERVE_BIN}' '${scheme}' --port ${port2} --workers 2 --drain-ms 500 \
+    '${SERVE_BIN}' '${scheme}' --port 0 --workers 2 --drain-ms 500 \
         > '${r2log}' 2> '${r2log}.err' & \
     r2=$!; \
     r1b=; \
@@ -51,7 +55,11 @@ execute_process(
       grep -q 'port=' '${r1log}' && grep -q 'port=' '${r2log}' && break; \
       sleep 0.1; \
     done; \
-    '${LOADGEN_BIN}' --endpoints 127.0.0.1:${port1},127.0.0.1:${port2} \
+    port1=$(port_of '${r1log}'); \
+    port2=$(port_of '${r2log}'); \
+    test -n \"$port1\" && test -n \"$port2\" || \
+      { echo 'a replica never came up'; exit 1; }; \
+    '${LOADGEN_BIN}' --endpoints 127.0.0.1:$port1,127.0.0.1:$port2 \
         --threads 4 --requests 700 --think-us 8000 --fault-pool 3 \
         --faults 2 --churn 0.2 --stats-every 0 --verify '${graph}' \
         --eps 1.0 --seed 11 --retries 5 --timeout-ms 2000 \
@@ -62,15 +70,15 @@ execute_process(
     kill -9 $r1; \
     echo '=== replica 1 SIGKILLed ==='; \
     sleep 1.0; \
-    '${SERVE_BIN}' '${scheme}' --port ${port1} --workers 2 --drain-ms 500 \
+    '${SERVE_BIN}' '${scheme}' --port $port1 --workers 2 --drain-ms 500 \
         > '${r1blog}' 2> '${r1blog}.err' & \
     r1b=$!; \
     for k in $(seq 1 100); do \
-      '${SERVE_BIN}' --health 127.0.0.1:${port1} >/dev/null 2>&1 && break; \
+      '${SERVE_BIN}' --health 127.0.0.1:$port1 >/dev/null 2>&1 && break; \
       sleep 0.1; \
     done; \
     echo '=== replica 1 restarted ==='; \
-    '${SERVE_BIN}' --health 127.0.0.1:${port1}; \
+    '${SERVE_BIN}' --health 127.0.0.1:$port1; \
     wait $lg; \
     kill -INT $r2 $r1b; \
     wait $r2 $r1b"

@@ -35,12 +35,10 @@ set(merged ${WORK_DIR}/shard_merged.fsdl)
 set(router_prom ${WORK_DIR}/shard_router_metrics.prom)
 set(router_log ${WORK_DIR}/shard_router.log)
 
-# Fixed ports (distinct from the ha_pipeline pair; RUN_SERIAL guards both).
-set(port_s0r1 45121)
-set(port_s0r2 45122)
-set(port_s1r1 45123)
-set(port_s1r2 45124)
-set(port_router 45126)
+# Every process binds port 0 and the script reads the kernel's choice from
+# its startup line ("port=N"): a fixed port can be held by another test's
+# client socket, since fixed ports sit inside the ephemeral range.
+set(port_of "port_of() { sed -n 's/.*port=\\([0-9][0-9]*\\).*/\\1/p' \"$1\"; }")
 
 run_checked(${FSDL_BIN} gen grid 8 8 ${graph})
 run_checked(${FSDL_BIN} build ${graph} ${scheme} --eps 1.0)
@@ -73,19 +71,20 @@ endif()
 # --- Act 2: 2 shards x 2 replicas, router in front, SIGKILL mid-run. ------
 execute_process(
   COMMAND sh -ec "\
-    '${SERVE_BIN}' '${shard0}' --port ${port_s0r1} --workers 2 \
+    ${port_of}; \
+    '${SERVE_BIN}' '${shard0}' --port 0 --workers 2 \
         --shard-id 0 --shard-count 2 --drain-ms 500 \
         > '${WORK_DIR}/shard_s0r1.log' 2>&1 & \
     s0r1=$!; \
-    '${SERVE_BIN}' '${shard0}' --port ${port_s0r2} --workers 2 \
+    '${SERVE_BIN}' '${shard0}' --port 0 --workers 2 \
         --shard-id 0 --shard-count 2 --drain-ms 500 \
         > '${WORK_DIR}/shard_s0r2.log' 2>&1 & \
     s0r2=$!; \
-    '${SERVE_BIN}' '${shard1}' --port ${port_s1r1} --workers 2 \
+    '${SERVE_BIN}' '${shard1}' --port 0 --workers 2 \
         --shard-id 1 --shard-count 2 --drain-ms 500 \
         > '${WORK_DIR}/shard_s1r1.log' 2>&1 & \
     s1r1=$!; \
-    '${SERVE_BIN}' '${shard1}' --port ${port_s1r2} --workers 2 \
+    '${SERVE_BIN}' '${shard1}' --port 0 --workers 2 \
         --shard-id 1 --shard-count 2 --drain-ms 500 \
         > '${WORK_DIR}/shard_s1r2.log' 2>&1 & \
     s1r2=$!; \
@@ -98,10 +97,16 @@ execute_process(
       grep -q 'port=' '${WORK_DIR}/shard_s1r2.log' && break; \
       sleep 0.1; \
     done; \
+    p_s0r1=$(port_of '${WORK_DIR}/shard_s0r1.log'); \
+    p_s0r2=$(port_of '${WORK_DIR}/shard_s0r2.log'); \
+    p_s1r1=$(port_of '${WORK_DIR}/shard_s1r1.log'); \
+    p_s1r2=$(port_of '${WORK_DIR}/shard_s1r2.log'); \
+    test -n \"$p_s0r1\" && test -n \"$p_s0r2\" && test -n \"$p_s1r1\" && \
+      test -n \"$p_s1r2\" || { echo 'a shard server never came up'; exit 1; }; \
     '${ROUTER_BIN}' \
-        --shard 127.0.0.1:${port_s0r1},127.0.0.1:${port_s0r2} \
-        --shard 127.0.0.1:${port_s1r1},127.0.0.1:${port_s1r2} \
-        --port ${port_router} --workers 4 --label-cache 16 \
+        --shard 127.0.0.1:$p_s0r1,127.0.0.1:$p_s0r2 \
+        --shard 127.0.0.1:$p_s1r1,127.0.0.1:$p_s1r2 \
+        --port 0 --workers 4 --label-cache 16 \
         --breaker-cooldown-ms 200 --drain-ms 500 \
         --metrics-dump '${router_prom}' --metrics-interval 0.3 \
         > '${router_log}' 2> '${router_log}.err' & \
@@ -111,7 +116,8 @@ execute_process(
     done; \
     grep -q 'port=' '${router_log}' || \
       { echo 'router never came up'; cat '${router_log}.err'; exit 1; }; \
-    '${LOADGEN_BIN}' --port ${port_router} \
+    p_router=$(port_of '${router_log}'); \
+    '${LOADGEN_BIN}' --port $p_router \
         --threads 4 --requests 700 --think-us 8000 --fault-pool 3 \
         --faults 2 --churn 0.2 --stats-every 0 --verify '${graph}' \
         --eps 1.0 --seed 13 --retries 5 --timeout-ms 2000 \
@@ -121,7 +127,7 @@ execute_process(
     kill -9 $s0r1; \
     echo '=== shard 0 replica 1 SIGKILLed ==='; \
     wait $lg; \
-    '${SERVE_BIN}' --health 127.0.0.1:${port_router}; \
+    '${SERVE_BIN}' --health 127.0.0.1:$p_router; \
     kill -INT $router; wait $router; \
     kill -INT $s0r2 $s1r1 $s1r2; wait $s0r2 $s1r1 $s1r2"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -177,12 +183,13 @@ file(REMOVE ${trace_client} ${trace_router} ${trace_shard0} ${trace_shard1}
 
 execute_process(
   COMMAND sh -ec "\
-    '${SERVE_BIN}' '${shard0}' --port ${port_s0r1} --workers 2 \
+    ${port_of}; \
+    '${SERVE_BIN}' '${shard0}' --port 0 --workers 2 \
         --shard-id 0 --shard-count 2 --drain-ms 500 \
         --trace-log '${trace_shard0}' \
         > '${WORK_DIR}/shard_t_s0.log' 2>&1 & \
     s0=$!; \
-    '${SERVE_BIN}' '${shard1}' --port ${port_s1r1} --workers 2 \
+    '${SERVE_BIN}' '${shard1}' --port 0 --workers 2 \
         --shard-id 1 --shard-count 2 --drain-ms 500 \
         --trace-log '${trace_shard1}' \
         > '${WORK_DIR}/shard_t_s1.log' 2>&1 & \
@@ -194,10 +201,12 @@ execute_process(
       grep -q 'port=' '${WORK_DIR}/shard_t_s1.log' && break; \
       sleep 0.1; \
     done; \
+    p_s0=$(port_of '${WORK_DIR}/shard_t_s0.log'); \
+    p_s1=$(port_of '${WORK_DIR}/shard_t_s1.log'); \
     '${ROUTER_BIN}' \
-        --shard 127.0.0.1:${port_s0r1} \
-        --shard 127.0.0.1:${port_s1r1} \
-        --port ${port_router} --workers 2 --label-cache 4 \
+        --shard 127.0.0.1:$p_s0 \
+        --shard 127.0.0.1:$p_s1 \
+        --port 0 --workers 2 --label-cache 4 \
         --drain-ms 500 --trace-log '${trace_router}' \
         > '${WORK_DIR}/shard_t_router.log' 2>&1 & \
     router=$!; \
@@ -207,11 +216,12 @@ execute_process(
     grep -q 'port=' '${WORK_DIR}/shard_t_router.log' || \
       { echo 'traced router never came up'; \
         cat '${WORK_DIR}/shard_t_router.log'; exit 1; }; \
-    '${LOADGEN_BIN}' --port ${port_router} \
+    p_router=$(port_of '${WORK_DIR}/shard_t_router.log'); \
+    '${LOADGEN_BIN}' --port $p_router \
         --threads 2 --requests 60 --think-us 1000 --fault-pool 3 \
         --faults 2 --stats-every 0 --n 64 --seed 29 --timeout-ms 2000 \
         --trace-sample 1 --trace-log '${trace_client}'; \
-    '${SERVE_BIN}' --fleet-stats 127.0.0.1:${port_router} \
+    '${SERVE_BIN}' --fleet-stats 127.0.0.1:$p_router \
         > '${fleet_prom}'; \
     kill -INT $router; wait $router; \
     kill -INT $s0 $s1; wait $s0 $s1"
@@ -239,6 +249,10 @@ foreach(shard_id 0 1)
   if(NOT fleet_text MATCHES "fsdl_fleet_scrape_ok{shard=\"${shard_id}\",replica=\"[^\"]*\"} 1")
     message(FATAL_ERROR
             "shard ${shard_id} missing from FLEET_STATS:\n${fleet_text}")
+  endif()
+  if(NOT fleet_text MATCHES "fsdl_label_store_bytes{shard=\"${shard_id}\",replica=\"[^\"]*\"} [1-9]")
+    message(FATAL_ERROR
+            "no label-store gauge for shard ${shard_id}:\n${fleet_text}")
   endif()
   if(NOT fleet_text MATCHES "fsdl_router_shard_fetch_latency_microseconds_count{shard=\"${shard_id}\"} [1-9]")
     message(FATAL_ERROR
