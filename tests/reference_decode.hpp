@@ -51,6 +51,14 @@ class BitReader {
 VertexLabel decode_label(BitReader& in, unsigned vertex_bits,
                          LabelCodec codec);
 
+/// The labels of one one-shot query.
+struct QueryInput {
+  const VertexLabel* source = nullptr;
+  const VertexLabel* target = nullptr;
+  std::vector<const VertexLabel*> fault_vertices;
+  std::vector<std::pair<const VertexLabel*, const VertexLabel*>> fault_edges;
+};
+
 QueryResult decode_query(const SchemeParams& params, const QueryInput& in);
 
 class PreparedFaults {
