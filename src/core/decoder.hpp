@@ -28,6 +28,17 @@
 // its two endpoints share no bit — exactly ∀k (out_k(a) ∨ out_k(b)). This
 // is the "perfect hashing" step of Lemma 2.6 made concrete: one AND over
 // ⌈|C|/64⌉ words per edge, for any number |C| of fault centers.
+//
+// A pair edge's survival depends only on its two net points, not on the
+// label that lists it (both masks are exact in_ball lookups). So when every
+// fault label reads one store's H_i, the prepare step certifies each H_i
+// entry once, by walking the rows of the union of the centers' hub lists:
+// a membership word per union point (bit k: a non-owner point of center k)
+// says which labels list an entry, and the lowest common bit is the first
+// label to list it. A stable counting sort on that center replays the
+// survivors in the order the per-label scan would have inserted them, so
+// the prepared edge list, Dijkstra ties and waypoints are unchanged. Owner
+// edges stay per center (an owner's mask can be the triangulated one).
 #pragma once
 
 #include <cstddef>
@@ -49,16 +60,22 @@ namespace fsdl {
 // caller attribute wall time to the |F|²-certification term vs. the
 // (1+1/ε)^{2α} sketch term without a tracing build (tools/fsdl_trace, the
 // server's slow-query log). For a PreparedFaults query the stats start from
-// the construction-time counters, so pb_checks includes the fault-label
-// certification paid (once) for this fault set.
+// the construction-time counters (prepare_stats()), so a query's own share
+// of a counter is its value minus prepare_stats()'s.
 struct QueryStats {
   std::size_t sketch_vertices = 0;
   std::size_t sketch_edges = 0;
+  /// Edges certified. A query's share: every level edge of the two endpoint
+  /// labels. The prepare's share: every owner edge of the fault labels plus
+  /// every H_i entry visited by the union walk (on single-label stores,
+  /// every level edge of the fault labels instead).
   std::size_t edges_considered = 0;
   /// Protected-ball lookups: one mask lookup per label slot in N_{i-c-1}
   /// per level, plus |C| center-list probes per owner triangulation (an
-  /// owner below its net level). Edge certification itself is a mask AND
-  /// and is not counted here (see edges_considered).
+  /// owner below its net level). The prepare's union walk looks up each
+  /// union point once per level instead of once per label slot. Edge
+  /// certification itself is a mask AND and is not counted here (see
+  /// edges_considered).
   std::size_t pb_checks = 0;
   std::size_t dijkstra_relaxations = 0;
   /// Sketch assembly: endpoint-label filtering + building H.
@@ -90,8 +107,9 @@ struct QueryResult {
 /// performs all the |F|-dependent work once — per level, a vertex → mask
 /// map of the protected balls that certifiably contain each vertex, plus
 /// the filtering of every fault label's edges (the O(label·|F|²) part of
-/// Lemma 2.6, at one mask AND per edge); each query then only filters the
-/// two endpoint labels and runs Dijkstra.
+/// Lemma 2.6, at one mask AND per edge; once per H_i entry of the union
+/// walk when the fault labels share a store); each query then only filters
+/// the two endpoint labels and runs Dijkstra.
 ///
 /// Labels are views over LevelGraphStores (one store, or one per label on
 /// the router); the stores must outlive the PreparedFaults object. With no
@@ -117,32 +135,49 @@ class PreparedFaults {
 
   /// Wall time of the constructor — the once-per-fault-set certification
   /// cost (Lemma 2.6's quadratic term: |C| labels, one ⌈|C|/64⌉-word AND
-  /// per label edge).
+  /// per label edge, or per H_i entry of the union walk).
   double prepare_us() const noexcept { return prepare_us_; }
   /// Counters accumulated during construction (also folded into every
   /// query's stats).
   const QueryStats& prepare_stats() const noexcept { return prepare_stats_; }
 
- private:
-  struct LevelTables {
-    /// Vertex u -> words_-word mask with bit k set iff center k's level
-    /// list holds u at distance <= λ_i (u ∈ PB_i(center k)). Absent
-    /// vertices lie in no ball (distance > r_i > λ_i from every center).
-    FlatMaskMap in_ball;
-    /// pb[k]: center k's level list as (vertex, distance), probed only to
-    /// triangulate an owner below its net level.
-    std::vector<FlatDistMap> pb;
-  };
+  /// The fault labels' surviving edges as (edge key, weight), in the order
+  /// a per-label scan (center by center, level by level, canonical edge
+  /// order) first inserts them: what every query seeds its sketch from.
+  const std::vector<std::pair<std::uint64_t, Dist>>& center_edges()
+      const noexcept {
+    return center_edges_;
+  }
 
+  /// Heap bytes held (the prepared cache's fsdl_prepared_cache_bytes).
+  std::size_t bytes() const noexcept;
+
+ private:
   bool vertex_faulty(Vertex v) const { return faulty_vertices_.contains(v); }
 
-  /// Level-i tables; all-empty when there are no centers.
-  const LevelTables& level_tables(unsigned i) const;
+  /// Lowest-level rule: a real graph edge (x, y) survives iff neither
+  /// endpoint nor the edge itself is forbidden. Every other edge survives
+  /// iff no center's ball holds both endpoints (disjoint masks).
+  bool graph_edge_survives(Vertex x, Vertex y) const;
+
+  /// Level i's vertex -> ball mask map; empty when there are no centers.
+  const FlatMaskMap& in_ball(unsigned i) const;
+
+  /// Writes the W-word mask of `ll`'s owner (slot 0 of `label`'s level i)
+  /// to `mask`: bit k set iff the owner is not certified outside
+  /// PB_i(center k).
+  void owner_mask(const LabelView& label, const LevelView& ll, unsigned i,
+                  std::uint64_t* mask, QueryStats& stats) const;
 
   /// Filter one label's level-i edges against the protected balls, merging
   /// survivors into `edges` (keyed on endpoint pair, min weight).
   void filter_label_edges(const LabelView& label, unsigned i,
                           EdgeAccumulator& edges, QueryStats& stats) const;
+
+  /// Fills center_edges_ with one walk per level over the H_i rows of the
+  /// union of the centers' hub lists. Needs every center's level views to
+  /// share one H_i (shares_level_graph).
+  void prepare_by_union_walk();
 
   SchemeParams params_;
   std::vector<LabelView> centers_;
@@ -153,8 +188,11 @@ class PreparedFaults {
   std::size_t words_ = 0;
   unsigned min_level_ = 0;
   unsigned top_level_ = 0;
-  /// Indexed by level - min_level_.
-  std::vector<LevelTables> levels_;
+  /// Indexed by level - min_level_: vertex u -> words_-word mask with bit k
+  /// set iff center k's level list holds u at distance <= λ_i
+  /// (u ∈ PB_i(center k)). Absent vertices lie in no ball (distance
+  /// > r_i > λ_i from every center).
+  std::vector<FlatMaskMap> in_ball_;
   /// Edges contributed by the fault labels themselves, already filtered —
   /// the flat snapshot every query() seeds its edge accumulator from.
   std::vector<std::pair<std::uint64_t, Dist>> center_edges_;

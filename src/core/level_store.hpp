@@ -120,6 +120,22 @@ class LevelView {
   template <typename Emit>
   void for_each_edge(Emit&& emit) const;
 
+  /// Whether this view and `other` read their pair edges from one H_i keyed
+  /// by vertex id: the same level of the same store, not single-label
+  /// stores.
+  bool shares_level_graph(const LevelView& other) const noexcept {
+    return !slot_rows_ && !other.slot_rows_ && row_begin_ == other.row_begin_ &&
+           entries_ == other.entries_ && universe_ == other.universe_;
+  }
+  /// Row x of that H_i: the entries (y > x) in canonical order. Only for a
+  /// view whose rows are keyed by vertex id, with x below universe().
+  std::span<const LevelEdge> level_graph_row(Vertex x) const noexcept {
+    if (row_begin_ == nullptr) return {};
+    return {entries_ + row_begin_[x], entries_ + row_begin_[x + 1]};
+  }
+  /// Vertex ids are below this bound.
+  Vertex universe() const noexcept { return universe_; }
+
  private:
   friend class LevelGraphStore;
 

@@ -247,6 +247,7 @@ std::string Metrics::render(const PreparedCache::Stats& cache) const {
                 fp.point.c_str(), fp.spec.c_str(), fp.hits, fp.fires);
   }
   append_line(out, "cache_entries: %zu\n", cache.entries);
+  append_line(out, "cache_bytes: %zu\n", cache.bytes);
   append_line(out, "cache_hits: %" PRIu64 "\n", cache.hits);
   append_line(out, "cache_misses: %" PRIu64 "\n", cache.misses);
   append_line(out, "cache_evictions: %" PRIu64 "\n", cache.evictions);
@@ -466,6 +467,11 @@ std::string Metrics::render_prometheus(
               "prepared.\n");
   append_line(out, "# TYPE fsdl_prepared_cache_entries gauge\n");
   append_line(out, "fsdl_prepared_cache_entries %zu\n", cache.entries);
+  append_line(out,
+              "# HELP fsdl_prepared_cache_bytes Heap bytes of the prepared "
+              "fault sets currently cached.\n");
+  append_line(out, "# TYPE fsdl_prepared_cache_bytes gauge\n");
+  append_line(out, "fsdl_prepared_cache_bytes %zu\n", cache.bytes);
   append_line(out, "# HELP fsdl_prepared_cache_events_total PreparedFaults "
                    "LRU events.\n");
   append_line(out, "# TYPE fsdl_prepared_cache_events_total counter\n");

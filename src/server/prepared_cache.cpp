@@ -90,12 +90,14 @@ std::shared_ptr<const PreparedFaults> PreparedCache::get(
   }
   shard.lru.push_front(Entry{std::move(key), prepared});
   shard.index[h].push_back(shard.lru.begin());
+  shard.bytes += prepared->bytes();
   if (shard.lru.size() > per_shard_capacity_) {
     const auto victim = std::prev(shard.lru.end());
     const std::uint64_t vh = fault_hash(victim->key);
     auto& vchain = shard.index[vh];
     vchain.erase(std::find(vchain.begin(), vchain.end(), victim));
     if (vchain.empty()) shard.index.erase(vh);
+    shard.bytes -= victim->prepared->bytes();
     shard.lru.pop_back();
     ++shard.evictions;
   }
@@ -110,6 +112,7 @@ PreparedCache::Stats PreparedCache::stats() const {
     out.misses += shard->misses;
     out.evictions += shard->evictions;
     out.entries += shard->lru.size();
+    out.bytes += shard->bytes;
   }
   return out;
 }

@@ -49,6 +49,8 @@ class PreparedCache {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::size_t entries = 0;
+    /// Heap bytes of the cached PreparedFaults (PreparedFaults::bytes()).
+    std::size_t bytes = 0;
     double hit_rate() const {
       const double total = static_cast<double>(hits + misses);
       return total == 0 ? 0.0 : static_cast<double>(hits) / total;
@@ -79,6 +81,8 @@ class PreparedCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
+    /// Σ bytes() over `lru`, kept on insert and evict.
+    std::size_t bytes = 0;
   };
 
   const ForbiddenSetOracle* oracle_;

@@ -562,6 +562,7 @@ std::shared_ptr<const Router::PinnedPrepared> Router::prepared_get(
   }
   prepared_lru_.push_front(PreparedEntry{key, pinned});
   prepared_index_[hash].push_back(prepared_lru_.begin());
+  prepared_bytes_ += pinned->prepared->bytes();
   while (prepared_lru_.size() > std::max<std::size_t>(
                                     1, options_.prepared_capacity)) {
     const PreparedEntry& victim = prepared_lru_.back();
@@ -577,6 +578,7 @@ std::shared_ptr<const Router::PinnedPrepared> Router::prepared_get(
       }
       if (vec.empty()) prepared_index_.erase(victim_chain);
     }
+    prepared_bytes_ -= victim.value->prepared->bytes();
     prepared_lru_.pop_back();
     ++prepared_evictions_;
   }
@@ -590,6 +592,7 @@ server::PreparedCache::Stats Router::prepared_stats() const {
   s.misses = prepared_misses_;
   s.evictions = prepared_evictions_;
   s.entries = prepared_lru_.size();
+  s.bytes = prepared_bytes_;
   return s;
 }
 

@@ -312,6 +312,8 @@ class Router : public server::FrameServer {
   std::uint64_t prepared_hits_ = 0;
   std::uint64_t prepared_misses_ = 0;
   std::uint64_t prepared_evictions_ = 0;
+  /// Σ PreparedFaults::bytes() over prepared_lru_.
+  std::size_t prepared_bytes_ = 0;
 };
 
 }  // namespace fsdl::shard

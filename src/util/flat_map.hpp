@@ -8,11 +8,11 @@
 //     per PreparedFaults. Each label slot takes its vertex's mask with one
 //     lookup, after which certifying an edge is an AND of two masks — so
 //     this map is probed once per slot, not once per edge and fault.
-//   - FlatDistMap: one fault center's (vertex, distance) list, probed only
-//     to triangulate an owner below its net level (a handful of lookups
-//     per label level). Open addressing keeps both maps at O(1) probes
-//     over flat arrays (a binary search over a faithful ball of 10^5
-//     points costs ~17 dependent cache misses per lookup).
+//   - FlatDistMap: a (vertex, distance) list with O(1) probes. The frozen
+//     reference decoder (tests/reference_decode.*) certifies with it; the
+//     production decoder triangulates by binary search of the center's
+//     sorted hub list instead (a handful of lookups per label level, and
+//     no per-center table to build or cache).
 //   - SortedSet: small fault/owner membership sets, binary-searched.
 //   - EdgeAccumulator: the per-query min-merge of surviving sketch edges —
 //     now the decoder's hottest structure; open-addressing index over a
@@ -68,6 +68,11 @@ class FlatMaskMap {
   const std::uint64_t* find(Vertex key) const noexcept;
 
   std::size_t size() const noexcept { return size_; }
+  /// Heap bytes held.
+  std::size_t bytes() const noexcept {
+    return keys_.capacity() * sizeof(Vertex) +
+           masks_.capacity() * sizeof(std::uint64_t);
+  }
 
  private:
   void grow();
@@ -96,6 +101,8 @@ class SortedSet {
   }
   bool empty() const noexcept { return keys_.empty(); }
   std::size_t size() const noexcept { return keys_.size(); }
+  /// Heap bytes held.
+  std::size_t bytes() const noexcept { return keys_.capacity() * sizeof(Key); }
 
  private:
   std::vector<Key> keys_;

@@ -1,15 +1,18 @@
 // Differential test: the production decoder against the frozen reference
-// (tests/reference_decode.*). Both must return bit-identical distances and
-// waypoints, one-shot and prepared, and must build the same sketch (same
-// edges considered, same sketch size, same Dijkstra work). Only pb_checks
-// may differ: it counts lookups, whose unit the two decoders define
-// differently. The reference reads decoded VertexLabels; production reads
-// LabelViews over a LevelGraphStore, on every store a label can come from
-// (the builder's, one rebuilt from a file, a shard piece's, the router's
-// single-label stores decoded from GET_LABEL blobs). The reference's
-// one-shot decode is matched by production's single-label path, prepared
-// per query as the router does. The label decode is checked the same way:
-// the production
+// (tests/reference_decode.*). Both must prepare the same fault-label edge
+// list (same keys, weights and order) and return bit-identical distances
+// and waypoints, and each query must build the same sketch (same edges
+// considered by the query itself, same sketch size, same Dijkstra work).
+// The prepare's own share of edges_considered may differ: production's
+// union walk counts H_i entries visited where the reference counts label
+// edges. pb_checks may differ too: it counts lookups, whose unit the two
+// decoders define differently. The reference reads decoded VertexLabels;
+// production reads LabelViews over a LevelGraphStore, on every store a
+// label can come from (the builder's, one rebuilt from a file, a shard
+// piece's, the router's single-label stores decoded from GET_LABEL blobs),
+// under the faithful, compact and weighted builders. Labels of one store
+// take the union walk; labels spread over stores take the per-label path.
+// The label decode is checked the same way: the production
 // BitReader/decode_label against the frozen bit-by-bit copy, on every
 // route a label takes (in process, through a .fsdl file, over the wire).
 #include <gtest/gtest.h>
@@ -25,9 +28,11 @@
 #include "core/labeling.hpp"
 #include "core/oracle.hpp"
 #include "core/serialize.hpp"
+#include "core/weighted.hpp"
 #include "graph/components.hpp"
 #include "graph/fault_view.hpp"
 #include "graph/generators.hpp"
+#include "graph/wgraph.hpp"
 #include "reference_decode.hpp"
 #include "shard/partition.hpp"
 #include "shard/shard_store.hpp"
@@ -49,14 +54,14 @@ struct Scheme {
   std::vector<shard::WireLabel> wire;
 };
 
+/// A scheme over a built labeling; `g` is its graph's skeleton (the
+/// faults are drawn from its edges).
 std::unique_ptr<Scheme> make_scheme(std::string name, Graph g,
-                                    const SchemeParams& params,
-                                    const BuildOptions& options = {}) {
+                                    ForbiddenSetLabeling labeling) {
   auto s = std::make_unique<Scheme>();
   s->name = std::move(name);
   s->graph = std::move(g);
-  s->labeling = std::make_unique<ForbiddenSetLabeling>(
-      ForbiddenSetLabeling::build(s->graph, params, options));
+  s->labeling = std::make_unique<ForbiddenSetLabeling>(std::move(labeling));
   s->oracle = std::make_unique<ForbiddenSetOracle>(*s->labeling);
   for (Vertex v = 0; v < s->labeling->num_vertices(); ++v) {
     s->decoded.push_back(s->labeling->label(v));
@@ -65,6 +70,23 @@ std::unique_ptr<Scheme> make_scheme(std::string name, Graph g,
         s->labeling->num_vertices()));
   }
   return s;
+}
+
+std::unique_ptr<Scheme> make_scheme(std::string name, Graph g,
+                                    const SchemeParams& params,
+                                    const BuildOptions& options = {}) {
+  ForbiddenSetLabeling labeling = ForbiddenSetLabeling::build(g, params, options);
+  return make_scheme(std::move(name), std::move(g), std::move(labeling));
+}
+
+/// The weighted builder's scheme over `g` with random weights in [1, 5].
+std::unique_ptr<Scheme> make_weighted_scheme(std::string name, const Graph& g,
+                                             const SchemeParams& params,
+                                             const BuildOptions& options = {}) {
+  Rng rng(0x3e1647);
+  const WeightedGraph wg = weighted_from(g, 5, rng);
+  return make_scheme(std::move(name), unweighted_skeleton(wg),
+                     build_weighted_labeling(wg, params, options));
 }
 
 /// `size` faults, each an edge with probability 0.4, else a vertex.
@@ -105,6 +127,47 @@ reference::PreparedFaults reference_prepare(const Scheme& scheme,
                                    in.fault_vertices, in.fault_edges);
 }
 
+/// `r` with the prepare's share taken out of edges_considered: a prepared
+/// query's stats start from prepare_stats(), whose edges_considered counts
+/// H_i entries on production's union walk but label edges in the reference.
+template <typename Prepared>
+QueryResult own_share(QueryResult r, const Prepared& prepared) {
+  r.stats.edges_considered -= prepared.prepare_stats().edges_considered;
+  return r;
+}
+
+/// The query's own share of its answer and work.
+QueryResult query_share(const PreparedFaults& prepared, const LabelView& s,
+                        const LabelView& t) {
+  return own_share(prepared.query(s, t), prepared);
+}
+QueryResult query_share(const reference::PreparedFaults& prepared,
+                        const VertexLabel& s, const VertexLabel& t) {
+  return own_share(prepared.query(s, t), prepared);
+}
+
+/// Both prepared the same fault-label edge list: keys, weights and order.
+::testing::AssertionResult same_center_edges(
+    const PreparedFaults& got, const reference::PreparedFaults& want) {
+  const auto& g = got.center_edges();
+  const auto& w = want.center_edges();
+  for (std::size_t e = 0; e < std::min(g.size(), w.size()); ++e) {
+    if (g[e] != w[e]) {
+      return ::testing::AssertionFailure()
+             << "center edge " << e << " of " << w.size() << " differs: key "
+             << g[e].first << " w " << g[e].second << " vs key " << w[e].first
+             << " w " << w[e].second;
+    }
+  }
+  if (g.size() != w.size()) {
+    return ::testing::AssertionFailure()
+           << g.size() << " center edges vs " << w.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Identical answers and query-side work; `got` and `want` carry only the
+/// query's own share of edges_considered (query_share).
 ::testing::AssertionResult identical(const QueryResult& got,
                                      const QueryResult& want) {
   const auto fail = [&](const char* what) {
@@ -153,44 +216,46 @@ std::vector<std::pair<Vertex, Vertex>> endpoints(const Graph& g,
   return out;
 }
 
-/// The router's decode of one query: F prepared over single-label stores,
-/// then queried once.
-QueryResult single_label_query(const Scheme& scheme, Vertex s, Vertex t,
-                               const FaultSet& f) {
+/// The router's decode: F prepared over single-label stores, which takes
+/// the per-label path.
+PreparedFaults single_label_prepare(const Scheme& scheme, const FaultSet& f) {
   const auto view = [&](Vertex v) { return scheme.wire[v].label(); };
   std::vector<LabelView> vertices;
   for (Vertex v : f.vertices()) vertices.push_back(view(v));
   std::vector<std::pair<LabelView, LabelView>> edges;
   for (const auto& [a, b] : f.edges()) edges.emplace_back(view(a), view(b));
-  const PreparedFaults prepared(scheme.labeling->params(), std::move(vertices),
-                                std::move(edges));
-  return prepared.query(view(s), view(t));
+  return PreparedFaults(scheme.labeling->params(), std::move(vertices),
+                        std::move(edges));
 }
 
-/// Every (s, t) of `pairs` against F, one-shot (the reference's against
-/// production's single-label path) and prepared; returns how many pairs
-/// were reachable.
+/// Every (s, t) of `pairs` against F, prepared over the oracle's store (the
+/// union walk) and over single-label stores (the per-label path, queried
+/// as the router does), against the reference; returns how many pairs were
+/// reachable.
 std::size_t check_fault_set(
     const Scheme& scheme, const FaultSet& f,
     const std::vector<std::pair<Vertex, Vertex>>& pairs) {
   const ForbiddenSetOracle& o = *scheme.oracle;
-  const SchemeParams& params = o.scheme().params();
   const PreparedFaults prepared = o.prepare(f);
+  const PreparedFaults single = single_label_prepare(scheme, f);
   const reference::PreparedFaults want_prepared = reference_prepare(scheme, f);
   EXPECT_EQ(prepared.num_centers(), want_prepared.num_centers());
+  EXPECT_TRUE(same_center_edges(prepared, want_prepared))
+      << "union walk " << scheme.name << " |F|=" << f.size();
+  EXPECT_TRUE(same_center_edges(single, want_prepared))
+      << "single-label stores " << scheme.name << " |F|=" << f.size();
   std::size_t reachable = 0;
+  const auto wire = [&](Vertex v) { return scheme.wire[v].label(); };
   for (const auto& [s, t] : pairs) {
     std::ostringstream ctx;
     ctx << scheme.name << " |F|=" << f.size() << " centers="
         << prepared.num_centers() << " s=" << s << " t=" << t;
-    EXPECT_TRUE(identical(single_label_query(scheme, s, t, f),
-                          reference::decode_query(
-                              params, input_for(scheme, s, t, f))))
-        << "one-shot " << ctx.str();
-    const QueryResult got = prepared.query(o.label(s), o.label(t));
-    EXPECT_TRUE(identical(
-        got, want_prepared.query(scheme.decoded[s], scheme.decoded[t])))
-        << "prepared " << ctx.str();
+    const QueryResult want =
+        query_share(want_prepared, scheme.decoded[s], scheme.decoded[t]);
+    EXPECT_TRUE(identical(query_share(single, wire(s), wire(t)), want))
+        << "single-label " << ctx.str();
+    const QueryResult got = query_share(prepared, o.label(s), o.label(t));
+    EXPECT_TRUE(identical(got, want)) << "prepared " << ctx.str();
     if (got.distance != kInfDist) ++reachable;
   }
   return reachable;
@@ -234,18 +299,43 @@ std::vector<Family> families() {
   return out;
 }
 
+/// The three builders: faithful and compact presets, and the weighted
+/// builder (faithful parameters, random weights).
+enum class Preset { kFaithful, kCompact, kWeighted };
+constexpr Preset kPresets[] = {Preset::kFaithful, Preset::kCompact,
+                               Preset::kWeighted};
+
+const char* preset_name(Preset p) {
+  return p == Preset::kFaithful  ? " faithful"
+         : p == Preset::kCompact ? " compact"
+                                 : " weighted";
+}
+
+std::unique_ptr<Scheme> make_preset_scheme(std::string name, const Graph& g,
+                                           Preset preset, double eps,
+                                           const BuildOptions& options = {}) {
+  switch (preset) {
+    case Preset::kFaithful:
+      return make_scheme(std::move(name), g, SchemeParams::faithful(eps),
+                         options);
+    case Preset::kCompact:
+      return make_scheme(std::move(name), g, SchemeParams::compact(eps),
+                         options);
+    case Preset::kWeighted:
+      break;
+  }
+  return make_weighted_scheme(std::move(name), g, SchemeParams::faithful(eps),
+                              options);
+}
+
 std::vector<std::unique_ptr<Scheme>> scheme_matrix() {
   std::vector<std::unique_ptr<Scheme>> out;
   for (const Family& fam : families()) {
     for (double eps : {0.5, 1.0}) {
-      for (bool faithful : {true, false}) {
+      for (Preset preset : kPresets) {
         std::ostringstream name;
-        name << fam.name << (faithful ? " faithful" : " compact")
-             << " eps=" << eps;
-        out.push_back(make_scheme(
-            name.str(), fam.graph,
-            faithful ? SchemeParams::faithful(eps)
-                     : SchemeParams::compact(eps)));
+        name << fam.name << preset_name(preset) << " eps=" << eps;
+        out.push_back(make_preset_scheme(name.str(), fam.graph, preset, eps));
       }
     }
   }
@@ -292,29 +382,31 @@ struct Pieces {
   }
 };
 
-// Every store a label can be read from answers exactly like the frozen
-// reference on the decoded labels: the builder's store and single-label
-// stores (check_fault_set), a store rebuilt from a saved file, and shard
-// pieces' stores with one query's labels spread over three pieces. Both
-// codecs encode one canonical edge order, so their answers agree down to
-// the waypoints.
+// Every store a label can be read from prepares and answers exactly like
+// the frozen reference on the decoded labels: the builder's store and
+// single-label stores (check_fault_set), a store rebuilt from a saved file,
+// and shard pieces' stores with one query's labels spread over three
+// pieces, for every builder and for fault sets of up to 70 faults (more
+// than 64 centers: two mask words). Both codecs encode one canonical edge
+// order, so their answers agree down to the waypoints.
 TEST(DecoderReference, EveryStorePathAndCodecMatchesTheReference) {
   std::size_t reachable = 0;
+  std::size_t two_word_sets = 0;  // fault sets of more than 64 centers
   std::uint64_t seed = 20104;
   for (const Family& fam : families()) {
-    for (bool faithful : {true, false}) {
+    for (Preset preset : kPresets) {
       ++seed;
-      const SchemeParams params =
-          faithful ? SchemeParams::faithful(1.0) : SchemeParams::compact(1.0);
       std::vector<std::vector<QueryResult>> answers;
       for (LabelCodec codec : {LabelCodec::kClassic, LabelCodec::kDelta}) {
         std::ostringstream name;
-        name << fam.name << (faithful ? " faithful" : " compact")
+        name << fam.name << preset_name(preset)
              << (codec == LabelCodec::kClassic ? " classic" : " delta");
         SCOPED_TRACE(name.str());
         BuildOptions options;
         options.codec = codec;
-        const auto scheme = make_scheme(name.str(), fam.graph, params, options);
+        const auto scheme =
+            make_preset_scheme(name.str(), fam.graph, preset, 1.0, options);
+        const SchemeParams& params = scheme->labeling->params();
         std::stringstream file;
         save_labeling(*scheme->labeling, file);
         const ForbiddenSetLabeling loaded = load_labeling(file);
@@ -323,23 +415,28 @@ TEST(DecoderReference, EveryStorePathAndCodecMatchesTheReference) {
 
         answers.emplace_back();
         Rng rng(seed);  // the same queries under both codecs
-        for (unsigned size : {1u, 4u, 8u}) {
+        for (unsigned size : {1u, 4u, 8u, 70u}) {
           const FaultSet f = random_faults(scheme->graph, rng, size);
           const auto pairs = endpoints(scheme->graph, f, rng, 6);
           reachable += check_fault_set(*scheme, f, pairs);
           const reference::PreparedFaults want = reference_prepare(*scheme, f);
           const PreparedFaults file_prepared = from_file.prepare(f);
           const PreparedFaults piece_prepared = pieces.prepare(params, f);
+          if (file_prepared.num_centers() > 64) ++two_word_sets;
+          EXPECT_TRUE(same_center_edges(file_prepared, want))
+              << "file store |F|=" << size;
+          EXPECT_TRUE(same_center_edges(piece_prepared, want))
+              << "piece stores |F|=" << size;
           for (const auto& [s, t] : pairs) {
             const QueryResult expected =
-                want.query(scheme->decoded[s], scheme->decoded[t]);
-            EXPECT_TRUE(identical(
-                file_prepared.query(from_file.label(s), from_file.label(t)),
-                expected))
+                query_share(want, scheme->decoded[s], scheme->decoded[t]);
+            EXPECT_TRUE(identical(query_share(file_prepared, from_file.label(s),
+                                              from_file.label(t)),
+                                  expected))
                 << "file store s=" << s << " t=" << t;
-            EXPECT_TRUE(identical(
-                piece_prepared.query(pieces.label(s), pieces.label(t)),
-                expected))
+            EXPECT_TRUE(identical(query_share(piece_prepared, pieces.label(s),
+                                              pieces.label(t)),
+                                  expected))
                 << "piece stores s=" << s << " t=" << t;
             answers.back().push_back(expected);
           }
@@ -348,12 +445,13 @@ TEST(DecoderReference, EveryStorePathAndCodecMatchesTheReference) {
       ASSERT_EQ(answers[0].size(), answers[1].size());
       for (std::size_t q = 0; q < answers[0].size(); ++q) {
         EXPECT_TRUE(identical(answers[1][q], answers[0][q]))
-            << fam.name << (faithful ? " faithful" : " compact")
+            << fam.name << preset_name(preset)
             << ": kDelta vs kClassic, query " << q;
       }
     }
   }
   EXPECT_GT(reachable, 0u);
+  EXPECT_GT(two_word_sets, 0u);
 }
 
 ::testing::AssertionResult same_label(const VertexLabel& got,
@@ -480,9 +578,9 @@ TEST(DecoderReference, SharedPreparedFaultsAcrossEightThreads) {
   std::vector<QueryResult> want;
   for (unsigned q = 0; q < kThreads * kPerThread; ++q) {
     pairs.emplace_back(rng.vertex(n), rng.vertex(n));
-    want.push_back(
-        want_prepared.query(scheme->decoded[pairs.back().first],
-                            scheme->decoded[pairs.back().second]));
+    want.push_back(query_share(want_prepared,
+                               scheme->decoded[pairs.back().first],
+                               scheme->decoded[pairs.back().second]));
   }
   std::atomic<unsigned> mismatches{0};
   std::vector<std::thread> threads;
@@ -492,8 +590,8 @@ TEST(DecoderReference, SharedPreparedFaultsAcrossEightThreads) {
       // threads interleave different queries on the shared tables.
       for (unsigned q = 0; q < pairs.size(); ++q) {
         const unsigned k = (q + th * kPerThread) % pairs.size();
-        const QueryResult got =
-            prepared.query(o.label(pairs[k].first), o.label(pairs[k].second));
+        const QueryResult got = query_share(prepared, o.label(pairs[k].first),
+                                            o.label(pairs[k].second));
         if (!identical(got, want[k])) mismatches.fetch_add(1);
       }
     });

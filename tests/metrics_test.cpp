@@ -179,7 +179,8 @@ TEST_F(MetricsTest, PrometheusExpositionMatchesTraffic) {
        {"fsdl_uptime_seconds", "fsdl_connections_total", "fsdl_requests_total",
         "fsdl_queries_total", "fsdl_errors_total",
         "fsdl_request_latency_microseconds", "fsdl_stage_work_total",
-        "fsdl_prepared_cache_entries", "fsdl_prepared_cache_events_total",
+        "fsdl_prepared_cache_entries", "fsdl_prepared_cache_bytes",
+        "fsdl_prepared_cache_events_total",
         "fsdl_failure_events_total", "fsdl_label_crc_failures_total"}) {
     EXPECT_TRUE(exp.has_metadata(family)) << family;
   }
@@ -229,6 +230,46 @@ TEST_F(MetricsTest, PrometheusExpositionMatchesTraffic) {
   EXPECT_GT(exp.value("fsdl_request_latency_microseconds_sum",
                       {{"type", "dist"}}),
             0.0);
+}
+
+// fsdl_prepared_cache_bytes follows the cached fault sets: it grows by a
+// PreparedFaults' bytes() on a miss, and an eviction takes the evicted
+// entry's bytes back out.
+TEST_F(MetricsTest, PreparedCacheBytesGaugeFollowsMissesAndEvictions) {
+  ServerOptions options;
+  options.cache_capacity = 1;  // every new fault set evicts the last one
+  options.cache_shards = 1;
+  Server srv(oracle_, options);
+  const auto gauge = [&] {
+    Request metrics;
+    metrics.opcode = Opcode::kMetrics;
+    return Exposition(srv.handle(metrics).text)
+        .value("fsdl_prepared_cache_bytes");
+  };
+  const auto dist = [&](const FaultSet& f) {
+    Request r;
+    r.opcode = Opcode::kDist;
+    r.pairs = {{0, 35}};
+    r.faults = f;
+    ASSERT_TRUE(srv.handle(r).ok());
+  };
+  FaultSet large;
+  for (Vertex v : {8u, 14u, 21u, 27u}) large.add_vertex(v);
+  FaultSet small;
+  small.add_vertex(20);
+  const auto large_bytes = static_cast<double>(oracle_.prepare(large).bytes());
+  const auto small_bytes = static_cast<double>(oracle_.prepare(small).bytes());
+  ASSERT_GT(large_bytes, small_bytes);
+
+  EXPECT_EQ(gauge(), 0.0);
+  dist(large);  // miss: grows
+  EXPECT_EQ(gauge(), large_bytes);
+  dist(large);  // hit: unchanged
+  EXPECT_EQ(gauge(), large_bytes);
+  dist(small);  // miss + eviction of `large`: shrinks
+  EXPECT_EQ(gauge(), small_bytes);
+  EXPECT_EQ(srv.cache_stats().evictions, 1u);
+  EXPECT_EQ(srv.cache_stats().bytes, static_cast<std::size_t>(small_bytes));
 }
 
 TEST_F(MetricsTest, FailureCountersFlowIntoBothRenderings) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/labeling.hpp"
+#include "core/level_store.hpp"
 #include "core/oracle.hpp"
 #include "graph/fault_view.hpp"
 #include "graph/generators.hpp"
@@ -102,6 +105,68 @@ TEST_F(PreparedFaultsTest, PreparedReducesPerQueryWork) {
   // preparation work, so the counters coincide on the first query).
   EXPECT_EQ(amortized.distance, one_shot.distance);
   EXPECT_LE(amortized.stats.edges_considered, one_shot.stats.edges_considered);
+}
+
+// Fault labels read from two different stores (the oracle's and a second
+// one rebuilt from the same labeling) do not share one H_i, so the prepare
+// filters each label on its own. It must prepare the same edge list and
+// answer exactly like the union walk over the oracle's store.
+TEST_F(PreparedFaultsTest, CentersFromTwoStoresTakeThePerLabelPath) {
+  const LevelGraphStore other = LevelGraphStore::from_labeling(*scheme_);
+  Rng rng(93);
+  for (int round = 0; round < 6; ++round) {
+    FaultSet f;
+    std::vector<LabelView> vertices;
+    std::vector<std::pair<LabelView, LabelView>> edges;
+    while (f.size() < 6) {
+      const Vertex a = rng.vertex(g_.num_vertices());
+      // Alternate the store each fault's labels come from.
+      const auto view = [&](Vertex v) {
+        return f.size() % 2 == 0 ? oracle_->label(v) : other.label(v);
+      };
+      if (rng.chance(0.3)) {
+        const auto nb = g_.neighbors(a);
+        const Vertex b = nb[rng.below(nb.size())];
+        if (f.edge_faulty(a, b)) continue;
+        edges.emplace_back(view(a), view(b));
+        f.add_edge(a, b);
+      } else if (!f.vertex_faulty(a)) {
+        vertices.push_back(view(a));
+        f.add_vertex(a);
+      }
+    }
+    const PreparedFaults mixed(scheme_->params(), std::move(vertices),
+                               std::move(edges));
+    const PreparedFaults walked = oracle_->prepare(f);
+    ASSERT_EQ(mixed.center_edges(), walked.center_edges()) << "round " << round;
+
+    // The per-label path considers every level edge of every center label.
+    std::size_t label_edges = 0;
+    std::vector<Vertex> centers = f.vertices();
+    for (const auto& [a, b] : f.edges()) {
+      centers.push_back(a);
+      centers.push_back(b);
+    }
+    std::sort(centers.begin(), centers.end());
+    centers.erase(std::unique(centers.begin(), centers.end()), centers.end());
+    for (Vertex c : centers) {
+      const LabelView l = oracle_->label(c);
+      for (unsigned i = l.min_level(); i <= l.top_level(); ++i) {
+        l.level(i).for_each_edge(
+            [&](std::uint32_t, std::uint32_t, Dist, bool) { ++label_edges; });
+      }
+    }
+    EXPECT_EQ(mixed.prepare_stats().edges_considered, label_edges);
+
+    for (int q = 0; q < 20; ++q) {
+      const Vertex s = rng.vertex(g_.num_vertices());
+      const Vertex t = rng.vertex(g_.num_vertices());
+      const QueryResult a = mixed.query(other.label(s), oracle_->label(t));
+      const QueryResult b = walked.query(oracle_->label(s), oracle_->label(t));
+      ASSERT_EQ(a.distance, b.distance) << "s=" << s << " t=" << t;
+      ASSERT_EQ(a.waypoints, b.waypoints) << "s=" << s << " t=" << t;
+    }
+  }
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 // (distances and waypoints), so it must not be "kept in sync" with them:
 // edit it only to fix a bug that the production decoder also had.
 //
-// The only departure from the original is that the tracing macros are
-// dropped, so the reference adds no spans or counters to a traced build.
+// The only departures from the original: the tracing macros are dropped,
+// so the reference adds no spans or counters to a traced build, and
+// PreparedFaults exposes its prepare counters and its prepared edge list
+// read-only, so tests can compare them with production's.
 //
 // The file also freezes the label decode: BitReader and decode_label as
 // they stood before word-at-a-time reads, reading one bit per step through
@@ -73,6 +75,11 @@ class PreparedFaults {
 
   std::size_t num_centers() const noexcept { return centers_.size(); }
   double prepare_us() const noexcept { return prepare_us_; }
+  const QueryStats& prepare_stats() const noexcept { return prepare_stats_; }
+  const std::vector<std::pair<std::uint64_t, Dist>>& center_edges()
+      const noexcept {
+    return center_edges_;
+  }
 
  private:
   struct LevelTables {
